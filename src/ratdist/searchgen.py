@@ -1,32 +1,36 @@
 """Fixture generators and a bounded-height exhaustive search.
 
-The search enumerates lattice points (p/q, (r/q') * sqrt(k)) with bounded
-numerators and denominators, extends partial sets one grid point at a time,
-and discards a branch the moment any pairwise squared distance fails to be
-a rational square.  Complete sets are filtered by the requested
-general-position predicate, mapped to a canonical representative of their
-similarity class (first two points at (0,0) and (1,0), lexicographically
-minimal point order, reflection resolved by the embedding's sign rule), and
-deduplicated on the sorted multiset of canonical squared distances with
-exact comparison on collision.
+The search grid holds the lattice points (p/q, (r/q') * sqrt(k)) with
+|p|, |r| <= numerator_bound and q, q' <= denominator_bound.  Scaled by
+L = lcm(1..denominator_bound) every grid point has integer coordinates
+(X, Y), and two grid points are at rational distance iff the integer
+(dX)^2 + k*(dY)^2 is a perfect square.  Each ``search`` call tests every
+grid pair once and keeps the answers as a bitset adjacency; a rational
+distance set of the target size is then a clique of that graph, listed by
+bitset recursion (Bron & Kerbosch, CACM 1973).
 
-Work is partitioned by the index of the first grid point, which is also the
-checkpoint granularity: checkpoints record exhausted index ranges plus the
-finds so far, merges are set unions, and resuming yields bit-identical
-results.  Workers share nothing; the RDS_THREADS environment variable caps
-parallelism.
+Complete sets are filtered by the requested general-position predicate and
+mapped to a canonical representative of their similarity class (first two
+points at (0,0) and (1,0), lexicographically minimal point order, reflection
+resolved by the embedding's sign rule).  The canonical form determines the
+class, so finds are deduplicated on it directly.
+
+Work is partitioned by the lowest grid index of a clique (its first-point
+cell), which is also the checkpoint granularity: checkpoints record
+exhausted index ranges plus the finds so far, merges are set unions, and
+resuming yields bit-identical results.  Workers share nothing but the
+adjacency; the RDS_THREADS environment variable caps parallelism.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .exactnum import is_squarefree, rational_sqrt
 from .planeset import (
@@ -34,9 +38,7 @@ from .planeset import (
     DistanceMatrix,
     LatticePoint,
     audit_general_position,
-    distance_matrix,
     embed_from_distances,
-    squared_distance,
 )
 
 
@@ -168,46 +170,102 @@ def generate_circle_rds(n: int, parameter_bound: int = 200) -> Configuration:
 # canonical forms
 
 
-def grid_points(spec: SearchSpec) -> tuple[LatticePoint, ...]:
-    """The search grid in a deterministic (sorted) order."""
-    values = sorted(
+def _grid_values(spec: SearchSpec) -> list[Fraction]:
+    return sorted(
         {
             Fraction(p, q)
             for q in range(1, spec.denominator_bound + 1)
             for p in range(-spec.numerator_bound, spec.numerator_bound + 1)
         }
     )
+
+
+def grid_points(spec: SearchSpec) -> tuple[LatticePoint, ...]:
+    """The search grid in a deterministic (sorted) order."""
+    values = _grid_values(spec)
     return tuple(
         LatticePoint(x, y) for x in values for y in values
     )
 
 
+def _admissible_order(rest: list[tuple[int, int, int]]) -> list[tuple[int, int, int]] | None:
+    """Lexicographically least order of ``rest`` that the sign rule allows.
+
+    ``rest`` is sorted.  ``embed_from_distances`` gives the first point off
+    the x-axis a positive y, so no negative-y point may come before the
+    first positive-y one; the greedy answer defers exactly those.  Returns
+    None when points lie below the axis and none above it.
+    """
+    for pos, (_, y, _) in enumerate(rest):
+        if y > 0:
+            head = rest[:pos]
+            return (
+                [p for p in head if p[1] == 0]
+                + [rest[pos]]
+                + [p for p in head if p[1] < 0]
+                + rest[pos + 1 :]
+            )
+    return None if any(y for _, y, _ in rest) else rest
+
+
+def _precedes(
+    cand: list[tuple[int, int, int]], den: int, best: list[tuple[int, int, int]], best_den: int
+) -> bool:
+    # coordinates are numerators over a positive per-candidate denominator
+    for (x, y, _), (bx, by, _) in zip(cand, best):
+        if x * best_den != bx * den:
+            return x * best_den < bx * den
+        if y * best_den != by * den:
+            return y * best_den < by * den
+    return False
+
+
 def canonical_form(c: Configuration) -> Configuration:
     """Lexicographically minimal normalized representative of a similarity class.
 
-    Minimizes the embedded point tuple over all orderings of the points
-    (factorial cost: meant for the small configurations this search emits).
+    Minimizes the embedded point tuple over all orderings of the points.
+    The first two points of an ordering fix the similarity that sends them
+    to (0,0) and (1,0); it is computed in integer coordinates, so for each
+    ordered anchor pair and each reflection the best order of the remaining
+    points is their sorted order, adjusted for the embedding's sign rule,
+    in O(n^3 log n) steps overall.  The winner is embedded once, which
+    re-verifies that the input is a planar RDS.
     """
     if c.n < 2:
         raise SearchgenError("canonical form needs at least two points")
-    m = distance_matrix(c)
-    best: Configuration | None = None
-    best_key = None
-    for perm in itertools.permutations(range(c.n)):
-        entries = tuple(tuple(m.entries[i][j] for j in perm) for i in perm)
-        cand = embed_from_distances(DistanceMatrix(entries), provenance="canonical")
-        key = (cand.k, tuple((p.x, p.yc) for p in cand.points))
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None
-    return best
-
-
-def _dedup_key(c: Configuration) -> tuple:
-    m = distance_matrix(c)
-    return tuple(
-        sorted(m.entries[i][j] for i in range(c.n) for j in range(i + 1, c.n))
+    k = c.k
+    scale = lcm(*(d for p in c.points for d in (p.x.denominator, p.yc.denominator)))
+    pts = [
+        (p.x.numerator * (scale // p.x.denominator), p.yc.numerator * (scale // p.yc.denominator))
+        for p in c.points
+    ]
+    best_perm: tuple[int, ...] = ()
+    best: list[tuple[int, int, int]] | None = None
+    best_den = 1
+    for a, (ax, ay) in enumerate(pts):
+        for b, (bx, by) in enumerate(pts):
+            if b == a:
+                continue
+            # z -> (z - a) / (b - a) with z = X + Y*sqrt(-k), over den = |b - a|^2
+            ux, uy = bx - ax, by - ay
+            den = ux * ux + k * uy * uy
+            rest = []
+            for i, (x, y) in enumerate(pts):
+                if i != a and i != b:
+                    dx, dy = x - ax, y - ay
+                    rest.append((dx * ux + k * dy * uy, dy * ux - dx * uy, i))
+            for mirrored in (rest, [(x, -y, i) for x, y, i in rest]):
+                cand = _admissible_order(sorted(mirrored))
+                if cand is not None and (best is None or _precedes(cand, den, best, best_den)):
+                    best, best_den = cand, den
+                    best_perm = (a, b, *(i for _, _, i in cand))
+    # squared distances times scale^2: the embedding rescales by entry (0,1)
+    # anyway, and an integer is a rational square iff it is a perfect square
+    ordered = [pts[i] for i in best_perm]
+    entries = tuple(
+        tuple((x - u) ** 2 + k * (y - v) ** 2 for u, v in ordered) for x, y in ordered
     )
+    return embed_from_distances(DistanceMatrix(entries), provenance="canonical")
 
 
 def _config_sort_key(c: Configuration) -> tuple:
@@ -225,39 +283,59 @@ def _satisfies(c: Configuration, require: Requirement) -> bool:
     return report.strong_ok if require is Requirement.STRONG else report.literal_ok
 
 
+def _adjacency(spec: SearchSpec) -> list[int]:
+    """Bitset per grid cell of the higher cells at rational distance from it."""
+    scale = lcm(*range(1, spec.denominator_bound + 1))
+    values = [int(v * scale) for v in _grid_values(spec)]
+    pts = [(x, y) for x in values for y in values]
+    k = spec.k
+    adjacency = [0] * len(pts)
+    for i, (xi, yi) in enumerate(pts):
+        bits = 0
+        for j in range(i + 1, len(pts)):
+            dx = pts[j][0] - xi
+            dy = pts[j][1] - yi
+            if rational_sqrt(dx * dx + k * dy * dy) is not None:
+                bits |= 1 << j
+        adjacency[i] = bits
+    return adjacency
+
+
 def _search_one_cell(
-    spec: SearchSpec, grid: tuple[LatticePoint, ...], cell: int
+    spec: SearchSpec, grid: tuple[LatticePoint, ...], adjacency: list[int], cell: int
 ) -> list[Configuration]:
+    """Canonical forms of the target-size cliques whose lowest cell is ``cell``."""
     k = spec.k
     target = spec.target_size
     out: list[Configuration] = []
+    chosen = [cell]
 
-    def extend(chosen: list[LatticePoint], start: int) -> None:
+    def extend(cand: int) -> None:
         if len(chosen) == target:
-            cfg = Configuration(k, tuple(chosen))
+            cfg = Configuration(k, tuple(grid[i] for i in chosen))
             if _satisfies(cfg, spec.require):
                 out.append(canonical_form(cfg))
             return
-        for idx in range(start, len(grid)):
-            q = grid[idx]
-            if all(
-                rational_sqrt(squared_distance(p, q, k)) is not None for p in chosen
-            ):
-                chosen.append(q)
-                extend(chosen, idx + 1)
-                chosen.pop()
+        need = target - len(chosen)
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            chosen.append(j)
+            extend(cand & adjacency[j])
+            chosen.pop()
 
-    extend([grid[cell]], cell + 1)
+    extend(adjacency[cell])
     return out
 
 
-def _run_cells_job(spec_json: str, cells: tuple[int, ...]) -> list[dict]:
+def _run_cells_job(spec_json: str, adjacency: list[int], cells: tuple[int, ...]) -> list[dict]:
     # module-level so process pools can pickle it
     spec = SearchSpec.from_dict(json.loads(spec_json))
     grid = grid_points(spec)
     out = []
     for cell in cells:
-        out.extend(c.to_dict() for c in _search_one_cell(spec, grid, cell))
+        out.extend(c.to_dict() for c in _search_one_cell(spec, grid, adjacency, cell))
     return out
 
 
@@ -288,9 +366,10 @@ def search(
     """Exhaust the bounded grid (or the checkpoint's remaining cells).
 
     Deterministic for a given spec regardless of worker count or where the
-    run is split; ``max_cells`` bounds how many first-point cells this call
-    processes so long runs can checkpoint and resume.  ``progress`` is an
-    optional callable receiving one dict per processed cell batch.
+    run is split; ``max_cells`` (nonnegative) bounds how many first-point
+    cells this call processes so long runs can checkpoint and resume.
+    ``progress`` is an optional callable receiving one dict per processed
+    cell, or per finished worker chunk on the parallel path.
     """
     if spec is None and checkpoint is None:
         raise SearchgenError("either a spec or a checkpoint is required")
@@ -299,17 +378,18 @@ def search(
             raise SearchgenError("checkpoint was produced by a different spec")
         spec = checkpoint.spec
     assert spec is not None
+    if max_cells is not None and max_cells < 0:
+        raise SearchgenError(f"max_cells must be nonnegative, got {max_cells}")
 
     grid = grid_points(spec)
     exhausted = _cells_of_ranges(checkpoint.exhausted_ranges) if checkpoint else set()
     pending = [c for c in range(len(grid)) if c not in exhausted]
     todo = pending if max_cells is None else pending[:max_cells]
 
-    found: dict[tuple, dict[tuple, Configuration]] = {}
+    found: dict[tuple, Configuration] = {}
 
     def absorb(cfg: Configuration) -> None:
-        bucket = found.setdefault(_dedup_key(cfg), {})
-        bucket.setdefault(_config_sort_key(cfg), cfg)
+        found.setdefault(_config_sort_key(cfg), cfg)
 
     if checkpoint:
         for cfg in checkpoint.found:
@@ -326,36 +406,33 @@ def search(
         workers = min(workers, cap)
     workers = max(1, min(workers, len(todo) or 1))
 
+    adjacency = _adjacency(spec)
     if workers == 1:
         for cell in todo:
-            for cfg in _search_one_cell(spec, grid, cell):
+            for cfg in _search_one_cell(spec, grid, adjacency, cell):
                 absorb(cfg)
             if progress is not None:
-                progress({"event": "cell", "cell": cell, "classes": sum(map(len, found.values()))})
+                progress({"event": "cell", "cell": cell, "classes": len(found)})
     else:
         spec_json = json.dumps(spec.to_dict())
         chunks = [tuple(todo[i::workers]) for i in range(workers)]
-        chunks = [ch for ch in chunks if ch]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for chunk, results in zip(chunks, pool.map(_run_cells_job, itertools.repeat(spec_json), chunks)):
-                for item in results:
+            jobs = {
+                pool.submit(_run_cells_job, spec_json, adjacency, chunk): chunk for chunk in chunks
+            }
+            for job in as_completed(jobs):
+                for item in job.result():
                     absorb(Configuration.from_dict(item))
                 if progress is not None:
-                    progress({"event": "chunk", "cells": len(chunk), "classes": sum(map(len, found.values()))})
+                    progress({"event": "chunk", "cells": len(jobs[job]), "classes": len(found)})
 
     done_cells = exhausted | set(todo)
     remaining = [c for c in range(len(grid)) if c not in done_cells]
-    all_found = sorted(
-        (cfg for bucket in found.values() for cfg in bucket.values()),
-        key=_config_sort_key,
-    )
     return SearchCheckpoint(
         spec=spec,
         frontier=tuple(
             Configuration(spec.k, (grid[c],), provenance=f"cell:{c}") for c in remaining
         ),
-        found=tuple(all_found),
+        found=tuple(found[key] for key in sorted(found)),
         exhausted_ranges=_merge_ranges(done_cells),
     )
-
-

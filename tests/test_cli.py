@@ -187,6 +187,17 @@ def test_search_spec_file(tmp_path):
     assert resumed["payload"]["found"] == result["payload"]["found"]
 
 
+def test_search_negative_max_cells_is_usage_error(tmp_path):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(
+        json.dumps({"k": 1, "numerator_bound": 1, "denominator_bound": 1, "target_size": 3})
+    )
+    code, result, _ = invoke(["search", "--spec", str(spec_file), "--max-cells", "-1"])
+    assert code == 2
+    assert result["status"] == "error"
+    assert "max_cells" in result["diagnostics"][0]["message"]
+
+
 def test_search_progress_stderr(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(

@@ -2,15 +2,23 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ratdist import searchgen
 from ratdist.planeset import (
     Configuration,
+    DistanceMatrix,
     LatticePoint,
+    NotRdsMatrixError,
     audit_general_position,
     distance_matrix,
+    embed_from_distances,
+    invert,
     squared_distance,
     verify_rds,
 )
@@ -29,9 +37,26 @@ from ratdist.searchgen import (
 F = Fraction
 
 
+def brute_canonical_form(c: Configuration) -> Configuration:
+    """Oracle: embed every ordering of the points and keep the least (n! cost)."""
+    if c.n < 2:
+        raise SearchgenError("canonical form needs at least two points")
+    m = distance_matrix(c)
+    best: Configuration | None = None
+    best_key = None
+    for perm in itertools.permutations(range(c.n)):
+        entries = tuple(tuple(m.entries[i][j] for j in perm) for i in perm)
+        cand = embed_from_distances(DistanceMatrix(entries), provenance="canonical")
+        key = (cand.k, tuple((p.x, p.yc) for p in cand.points))
+        if best_key is None or key < best_key:
+            best, best_key = cand, key
+    assert best is not None
+    return best
+
+
 def oracle_found(spec: SearchSpec) -> tuple[Configuration, ...]:
     """Unpruned enumeration of every size-target subset of the grid."""
-    from ratdist.searchgen import _config_sort_key, _dedup_key, _satisfies
+    from ratdist.searchgen import _config_sort_key, _satisfies
 
     found = {}
     for combo in itertools.combinations(grid_points(spec), spec.target_size):
@@ -40,14 +65,9 @@ def oracle_found(spec: SearchSpec) -> tuple[Configuration, ...]:
             continue
         if not _satisfies(cfg, spec.require):
             continue
-        canon = canonical_form(cfg)
-        found.setdefault(_dedup_key(canon), {}).setdefault(_config_sort_key(canon), canon)
-    return tuple(
-        sorted(
-            (c for bucket in found.values() for c in bucket.values()),
-            key=_config_sort_key,
-        )
-    )
+        canon = brute_canonical_form(cfg)
+        found.setdefault(_config_sort_key(canon), canon)
+    return tuple(found[key] for key in sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +136,94 @@ def test_canonical_form_quotients_reflection():
     a = Configuration(1, (LatticePoint(F(0), F(0)), LatticePoint(F(3), F(0)), LatticePoint(F(0), F(4))))
     b = Configuration(1, (LatticePoint(F(0), F(0)), LatticePoint(F(3), F(0)), LatticePoint(F(0), F(-4))))
     assert canonical_form(a) == canonical_form(b)
+
+
+def test_canonical_form_sign_rule_defers_lower_points():
+    # Under the winning anchors the two points with least x are mirror images,
+    # so the plain sorted order would put a point below the axis first.
+    c = Configuration(
+        1,
+        tuple(
+            LatticePoint(F(x), F(y)) for x, y in ((-4, -1), (0, -4), (0, -1), (0, 2), (4, -1))
+        ),
+    )
+    assert canonical_form(c) == brute_canonical_form(c)
+
+
+def test_canonical_form_rejects_non_rds():
+    c = Configuration(1, (LatticePoint(F(0), F(0)), LatticePoint(F(1), F(0)), LatticePoint(F(1), F(1))))
+    with pytest.raises(NotRdsMatrixError):
+        brute_canonical_form(c)
+    with pytest.raises(NotRdsMatrixError):
+        canonical_form(c)
+    with pytest.raises(SearchgenError):
+        canonical_form(Configuration(1, (LatticePoint(F(0), F(0)),)))
+
+
+def test_canonical_form_large_circle_is_polynomial():
+    # the n! oracle needs about 40 s here; the similarity transform needs ms
+    c = generate_circle_rds(8)
+    start = time.perf_counter()
+    canon = canonical_form(c)
+    assert time.perf_counter() - start < 1.0
+    assert canon.points[:2] == (LatticePoint(F(0), F(0)), LatticePoint(F(1), F(0)))
+    moved = Configuration(
+        1, tuple(LatticePoint(3 * p.x + F(1, 2), 5 - 3 * p.yc) for p in reversed(c.points))
+    )
+    assert canonical_form(moved) == canon
+
+
+def _differential_hits(monkeypatch, spec: SearchSpec) -> int:
+    """Run ``spec`` checking every raw hit's canonical form against the oracle."""
+    fast = searchgen.canonical_form
+    hits = []
+
+    def checked(c: Configuration) -> Configuration:
+        got = fast(c)
+        assert got == brute_canonical_form(c), c
+        hits.append(c)
+        return got
+
+    monkeypatch.setattr(searchgen, "canonical_form", checked)
+    search(spec)
+    return len(hits)
+
+
+def test_canonical_form_matches_oracle_on_criterion_9_hits(monkeypatch):
+    assert _differential_hits(monkeypatch, SearchSpec(1, 4, 1, 3)) == 1872
+
+
+@pytest.mark.parametrize("k", [2, 7])
+def test_canonical_form_matches_oracle_on_k_hits(monkeypatch, k):
+    assert _differential_hits(monkeypatch, SearchSpec(k, 4, 1, 3)) > 0
+
+
+CIRCLE = generate_circle_rds(8)
+
+
+@st.composite
+def small_rds(draw):
+    family = draw(st.sampled_from(["circle", "inverted", "line"]))
+    n = draw(st.integers(min_value=2, max_value=6))
+    if family == "line":
+        offsets = draw(
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=4),
+                min_size=n, max_size=n, unique=True,
+            )
+        )
+        return generate_line_rds(n, offsets)
+    picks = draw(st.permutations(range(CIRCLE.n)))[:n]
+    c = Configuration(1, tuple(CIRCLE.points[i] for i in picks))
+    if family == "inverted":
+        c = invert(c, draw(st.integers(min_value=0, max_value=n - 1)))
+    return c
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_rds())
+def test_canonical_form_matches_oracle_on_fixtures(c):
+    assert canonical_form(c) == brute_canonical_form(c)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +320,20 @@ def test_search_progress_events():
     search(TINY, progress=events.append)
     assert len(events) == 25
     assert all(e["event"] == "cell" for e in events)
+
+
+def test_search_parallel_progress_counts_cells():
+    events = []
+    result = search(TINY, workers=2, max_cells=19, progress=events.append)
+    assert [e["event"] for e in events] == ["chunk", "chunk"]
+    assert sum(e["cells"] for e in events) == 19
+    assert events[-1]["classes"] == len(result.found)
+
+
+def test_search_rejects_negative_max_cells():
+    with pytest.raises(SearchgenError, match="max_cells"):
+        search(TINY, max_cells=-1)
+    assert search(TINY, max_cells=0).exhausted_ranges == ()
 
 
 def test_search_found_all_satisfy_requirement_invariant():

@@ -23,7 +23,6 @@ from .curvelift import (
     HypothesisViolationError,
     PlaneCurve,
     ThresholdError,
-    UseInversionFirstError,
     build_double_cover,
     choose_transverse_triple,
 )
@@ -368,11 +367,7 @@ def run(argv: "list[str]") -> tuple[dict, int]:
     try:
         args = parser.parse_args(argv)
         result = args.func(args)
-    except CliUsageError as err:
-        result = _result("error", {}, [_diag("error", str(err))])
-    except UseInversionFirstError as err:
-        result = _result("error", {}, [_diag("error", str(err))])
-    except ValueError as err:
+    except ValueError as err:  # CliUsageError and every library domain error
         result = _result("error", {}, [_diag("error", str(err))])
     return result, _STATUS_CODE[result["status"]]
 

@@ -36,7 +36,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format "p/q" (or "p"); rejects floats and exponents."""
+    """Parse the wire format "p/q" (or "p"); rejects floats, exponents and non-strings."""
+    if not isinstance(text, str):
+        raise ExactnumError(f"rational must be a string like \"p/q\", got {type(text).__name__}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ExactnumError(f"not a rational literal: {text!r}")
@@ -204,9 +206,6 @@ class ImQuadElement:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def to_dict(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im), "k": self.k}

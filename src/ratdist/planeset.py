@@ -12,7 +12,7 @@ Configurations are immutable; every operation returns fresh values.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -332,44 +332,89 @@ def concyclic(
     return det == 0
 
 
-def _max_collinear(c: Configuration) -> tuple[int, tuple[int, ...]]:
-    n = c.n
-    if n <= 2:
-        return n, tuple(range(n))
-    best, witness = 2, (0, 1)
-    for i, j in itertools.combinations(range(n), 2):
-        members = [i, j]
-        for p in range(n):
-            if p != i and p != j and collinear(c.points[i], c.points[j], c.points[p]):
-                members.append(p)
+def _integer_points(c: Configuration) -> list[tuple[int, int]]:
+    # Scaling every coordinate by one factor scales the real point set
+    # uniformly, so collinear and concyclic subsets are unchanged.
+    scale = math.lcm(*(q.denominator for p in c.points for q in (p.x, p.yc)))
+    return [
+        (p.x.numerator * (scale // p.x.denominator), p.yc.numerator * (scale // p.yc.denominator))
+        for p in c.points
+    ]
+
+
+def _best_group(
+    groups: dict, best: int, witness: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    # Groups arrive in lexicographic order of their sorted members (anchors
+    # ascend, and a dict keeps the insertion order of each group's first
+    # point), so keeping the first strictly larger one keeps the
+    # lexicographically smallest of the maximal sets.
+    for members in groups.values():
         if len(members) > best:
-            best, witness = len(members), tuple(sorted(members))
+            best, witness = len(members), tuple(members)
     return best, witness
 
 
-def _max_concyclic(c: Configuration) -> tuple[int, tuple[int, ...]]:
-    # Genuine circles only: seed with non-collinear triples, then test the
-    # rest against the circle-or-line determinant (the seed rules out lines).
+def _max_collinear_concyclic(
+    c: Configuration,
+) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
     n = c.n
     if n <= 2:
-        return n, tuple(range(n))
-    best, witness = 2, (0, 1)
-    for i, j, l in itertools.combinations(range(n), 3):
-        if collinear(c.points[i], c.points[j], c.points[l]):
-            continue
-        members = [i, j, l]
-        for p in range(n):
-            if p in (i, j, l):
-                continue
-            if concyclic(c.points[i], c.points[j], c.points[l], c.points[p], c.k):
-                members.append(p)
-        if len(members) > best:
-            best, witness = len(members), tuple(sorted(members))
-    return best, witness
+        return n, tuple(range(n)), n, tuple(range(n))
+    k = c.k
+    pts = _integer_points(c)
+    best_col, wit_col = 2, (0, 1)
+    best_cyc, wit_cyc = 2, (0, 1)
+    for i in range(n - 1):
+        xi, yi = pts[i]
+        rel = [(x - xi, y - yi) for x, y in pts]
+        lines: dict[tuple[int, int], list[int]] = {}
+        for p in range(i + 1, n):
+            dx, dy = rel[p]
+            g = math.gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            lines.setdefault((dx // g, dy // g), [i]).append(p)
+        best_col, wit_col = _best_group(lines, best_col, wit_col)
+        for j in range(i + 1, n - 1):
+            a1, a2 = rel[j]
+            na = a1 * a1 + k * a2 * a2
+            circles: dict[tuple[int, int, int], list[int]] = {}
+            for p in range(j + 1, n):
+                b1, b2 = rel[p]
+                det = a1 * b2 - a2 * b1
+                if det == 0:
+                    continue
+                nb = b1 * b1 + k * b2 * b2
+                # x^2 + k*yc^2 + D*x + E*yc = 0 through 0, a and b, times det
+                d_num = nb * a2 - na * b2
+                e_num = na * b1 - nb * a1
+                g = math.gcd(d_num, e_num, det)
+                if det < 0:
+                    g = -g
+                circles.setdefault((d_num // g, e_num // g, det // g), [i, j]).append(p)
+            best_cyc, wit_cyc = _best_group(circles, best_cyc, wit_cyc)
+    return best_col, wit_col, best_cyc, wit_cyc
 
 
 def audit_general_position(c: Configuration) -> AuditReport:
-    """Exhaustive exact audit of collinear and concyclic subset sizes.
+    """Exact audit of the largest collinear and concyclic subsets.
+
+    The coordinates are scaled by the lcm of their denominators to
+    integers, a uniform scaling that keeps both predicates.  For each
+    anchor i, the points p > i are hashed by their primitive,
+    sign-normalized direction from i; for each anchor pair i < j, the
+    points p > j off the line ij are hashed by the circle through i, j
+    and p, written with i at the origin as x^2 + k*yc^2 + D*x + E*yc = 0
+    and keyed by the reduced integer triple (D*det, E*det, det), det > 0.
+    Every line is thus found whole from its two lowest indices and every
+    circle from its three lowest, in O(n^3) integer operations.  Lines
+    never count as circles.
+
+    The witness of each maximum is the lexicographically smallest sorted
+    index tuple among the maximal sets.  Two distinct lines share at most
+    one point and two distinct circles at most two, so this is also the
+    set first met when pairs (triples) are scanned in lexicographic order.
 
     literal_ok follows the cardinality-(n-4)/(n-3) reading with vacuous
     containment counting (the empty subset lies on every line, so n = 4 can
@@ -377,8 +422,7 @@ def audit_general_position(c: Configuration) -> AuditReport:
     predicate.
     """
     n = c.n
-    max_col, wit_col = _max_collinear(c)
-    max_cyc, wit_cyc = _max_concyclic(c)
+    max_col, wit_col, max_cyc, wit_cyc = _max_collinear_concyclic(c)
     line_violated = n >= 4 and max_col >= n - 4
     circle_violated = n >= 3 and max_cyc >= n - 3
     witnesses: dict = {}

@@ -229,6 +229,17 @@ def test_missing_schema_key_is_usage_error():
     assert "invalid configuration" in result["diagnostics"][0]["message"]
 
 
+def test_json_number_coordinate_is_usage_error():
+    text = json.dumps({"k": 1, "points": [{"x": 0, "yc": "0"}, {"x": "1", "yc": "0"}]})
+    code, result, proc = invoke(["verify"], stdin_text=text)
+    assert code == 2
+    assert result["status"] == "error"
+    assert "invalid configuration" in result["diagnostics"][0]["message"]
+    # exactly one CommandResult on stdout, and no traceback
+    assert json.loads(proc.stdout) == result
+    assert "Traceback" not in proc.stderr
+
+
 def test_byte_stable_output():
     _, _, proc1 = invoke(["certify", "--m", "4"])
     _, _, proc2 = invoke(["certify", "--m", "4"])

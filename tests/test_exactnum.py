@@ -176,6 +176,12 @@ def test_rational_wire_format():
             parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", [0, 1.5, True, None, ["1"], {"x": "1"}])
+def test_parse_rational_rejects_non_strings(bad):
+    with pytest.raises(ExactnumError):
+        parse_rational(bad)
+
+
 def test_imquad_dict_roundtrip():
     e = ImQuadElement(Fraction(1, 3), Fraction(-2), 5)
     assert ImQuadElement.from_dict(e.to_dict()) == e

@@ -1,6 +1,7 @@
 """Tests for configurations, embedding, audits, and inversion."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from ratdist.planeset import (
     squared_distance,
     verify_rds,
 )
+from ratdist.searchgen import generate_circle_rds, generate_line_rds
 
 F = Fraction
 
@@ -263,6 +265,168 @@ def test_audit_monotone_under_point_removal():
         sub = audit_general_position(Configuration(1, kept))
         assert sub.max_collinear <= full.max_collinear
         assert sub.max_concyclic <= full.max_concyclic
+
+
+# ---------------------------------------------------------------------------
+# audit against the brute-force oracle
+#
+# Brute-force O(n^3) / O(n^4) scans with the public Fraction predicates: the
+# reference reports, witnesses included, that the hashing audit must match.
+
+
+def oracle_max_collinear(c: Configuration) -> tuple[int, tuple[int, ...]]:
+    n = c.n
+    if n <= 2:
+        return n, tuple(range(n))
+    best, witness = 2, (0, 1)
+    for i, j in itertools.combinations(range(n), 2):
+        members = [i, j]
+        for p in range(n):
+            if p != i and p != j and collinear(c.points[i], c.points[j], c.points[p]):
+                members.append(p)
+        if len(members) > best:
+            best, witness = len(members), tuple(sorted(members))
+    return best, witness
+
+
+def oracle_max_concyclic(c: Configuration) -> tuple[int, tuple[int, ...]]:
+    # Genuine circles only: seed with non-collinear triples, then test the
+    # rest against the circle-or-line determinant (the seed rules out lines).
+    n = c.n
+    if n <= 2:
+        return n, tuple(range(n))
+    best, witness = 2, (0, 1)
+    for i, j, l in itertools.combinations(range(n), 3):
+        if collinear(c.points[i], c.points[j], c.points[l]):
+            continue
+        members = [i, j, l]
+        for p in range(n):
+            if p in (i, j, l):
+                continue
+            if concyclic(c.points[i], c.points[j], c.points[l], c.points[p], c.k):
+                members.append(p)
+        if len(members) > best:
+            best, witness = len(members), tuple(sorted(members))
+    return best, witness
+
+
+def oracle_audit(c: Configuration) -> AuditReport:
+    n = c.n
+    max_col, wit_col = oracle_max_collinear(c)
+    max_cyc, wit_cyc = oracle_max_concyclic(c)
+    witnesses: dict = {}
+    if max_col >= 3:
+        witnesses["collinear"] = wit_col
+    if max_cyc >= 4:
+        witnesses["concyclic"] = wit_cyc
+    return AuditReport(
+        n=n,
+        line_threshold=n - 4,
+        circle_threshold=n - 3,
+        max_collinear=max_col,
+        max_concyclic=max_cyc,
+        literal_ok=not ((n >= 4 and max_col >= n - 4) or (n >= 3 and max_cyc >= n - 3)),
+        strong_ok=max_col <= 2 and max_cyc <= 3,
+        witnesses=witnesses,
+    )
+
+
+small_rational = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2, 3])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 5]),
+    st.lists(st.tuples(small_rational, small_rational), min_size=1, max_size=8, unique=True),
+)
+def test_audit_matches_oracle(k, coords):
+    c = Configuration(k, tuple(LatticePoint(x, y) for x, y in coords))
+    assert audit_general_position(c).to_dict() == oracle_audit(c).to_dict()
+
+
+def _report(n, max_col, max_cyc, literal_ok, strong_ok, witnesses):
+    return {
+        "n": n,
+        "line_threshold": n - 4,
+        "circle_threshold": n - 3,
+        "max_collinear": max_col,
+        "max_concyclic": max_cyc,
+        "literal_ok": literal_ok,
+        "strong_ok": strong_ok,
+        "witnesses": witnesses,
+    }
+
+
+@pytest.mark.parametrize(
+    "c, expected",
+    [
+        (
+            normalize(generate_circle_rds(8)),
+            _report(8, 2, 8, False, False, {"concyclic": list(range(8))}),
+        ),
+        # inversion at point 1 sends the circle through it to a line
+        (
+            normalize(invert(generate_circle_rds(8), 1)),
+            _report(8, 7, 3, False, False, {"collinear": [0, 2, 3, 4, 5, 6, 7]}),
+        ),
+        (
+            generate_line_rds(6, [0, 1, 3, 7, 12, 20]),
+            _report(6, 6, 2, False, False, {"collinear": list(range(6))}),
+        ),
+        (
+            normalize(generate_circle_rds(5)),
+            _report(5, 2, 5, False, False, {"concyclic": list(range(5))}),
+        ),
+    ],
+    ids=["circle", "inverted-circle", "line", "circle-5"],
+)
+def test_audit_fixture_reports(c, expected):
+    report = audit_general_position(c).to_dict()
+    assert report == expected
+    assert report == oracle_audit(c).to_dict()
+
+
+def test_audit_witness_tie_break():
+    # Two disjoint maximal lines and two maximal circles.  In each pair the
+    # lexicographically smaller index set is completed last when points are
+    # taken in index order, and it is met first when sets are taken by
+    # their lowest indices, so neither "first completed" nor "last found"
+    # gives the expected witness.
+    slots = {}
+    for idx, p in zip((0, 12, 13), [(7, 61), (10, 68), (19, 89)]):
+        slots[idx] = p
+    for idx, p in zip((1, 2, 3), [(-29, 17), (-24, 5), (-19, -7)]):
+        slots[idx] = p
+    for idx, p in zip((4, 9, 10, 11), [(3, 4), (-4, 3), (0, -5), (5, 0)]):
+        slots[idx] = p
+    for idx, p in zip((5, 6, 7, 8), [(42, 1), (25, -6), (50, -11), (32, -23)]):
+        slots[idx] = p
+    c = cfg(1, *(slots[i] for i in range(14)))
+    report = audit_general_position(c)
+    assert (report.max_collinear, report.max_concyclic) == (3, 4)
+    assert report.witnesses == {"collinear": (0, 12, 13), "concyclic": (4, 9, 10, 11)}
+    assert report.to_dict() == oracle_audit(c).to_dict()
+    # the fixture really has two maximal sets of each kind
+    lines = [t for t in itertools.combinations(range(14), 3) if collinear(*(c.points[i] for i in t))]
+    assert lines == [(0, 12, 13), (1, 2, 3)]
+    circles = [
+        t
+        for t in itertools.combinations(range(14), 4)
+        if concyclic(*(c.points[i] for i in t), 1)
+        and not any(collinear(*(c.points[i] for i in s)) for s in itertools.combinations(t, 3))
+    ]
+    assert circles == [(4, 9, 10, 11), (5, 6, 7, 8)]
+
+
+def test_audit_forty_point_circle_is_fast():
+    c = normalize(generate_circle_rds(40))
+    start = time.perf_counter()
+    report = audit_general_position(c)
+    elapsed = time.perf_counter() - start
+    assert report.to_dict() == _report(40, 2, 40, False, False, {"concyclic": list(range(40))})
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .curvelift import (
 from .exactnum import parse_rational
 from .planeset import (
     Configuration,
+    NotRdsMatrixError,
     audit_general_position,
     invert,
     normalize,
@@ -108,12 +109,13 @@ def _unwrap(data: dict) -> dict:
     return data
 
 
-def _read_configuration(path: str) -> Configuration:
+def _read_wire(path: str, decode=Configuration.from_dict, what: str = "configuration"):
+    # every wire object enters through here; a decode error is a usage error
     data = _unwrap(_read_json(path))
     try:
-        return Configuration.from_dict(data)
+        return decode(data)
     except (KeyError, TypeError, ValueError) as err:
-        raise CliUsageError(f"invalid configuration JSON: {err}") from err
+        raise CliUsageError(f"invalid {what} JSON: {err}") from err
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -128,7 +130,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_verify(args) -> dict:
-    report = verify_rds(_read_configuration(args.config))
+    report = verify_rds(_read_wire(args.config))
     if report.is_rds:
         return _result("ok", report.to_dict())
     diags = [
@@ -139,16 +141,11 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_normalize(args) -> dict:
-    c = _read_configuration(args.config)
-    if not verify_rds(c).is_rds:
-        return _result(
-            "violation", {}, [_diag("error", "configuration is not a rational distance set")]
-        )
-    return _result("ok", normalize(c).to_dict())
+    return _result("ok", normalize(_read_wire(args.config)).to_dict())
 
 
 def _cmd_audit(args) -> dict:
-    report = audit_general_position(_read_configuration(args.config))
+    report = audit_general_position(_read_wire(args.config))
     checks = {
         "strong": report.strong_ok,
         "literal": report.literal_ok,
@@ -176,18 +173,11 @@ def _cmd_audit(args) -> dict:
 
 
 def _cmd_invert(args) -> dict:
-    c = _read_configuration(args.config)
-    if not verify_rds(c).is_rds:
-        return _result(
-            "violation", {}, [_diag("error", "configuration is not a rational distance set")]
-        )
-    if not 0 <= args.center < c.n:
-        raise CliUsageError(f"center index {args.center} out of range for {c.n} points")
-    return _result("ok", invert(c, args.center).to_dict())
+    return _result("ok", invert(_read_wire(args.config), args.center).to_dict())
 
 
 def _cmd_lift(args) -> dict:
-    c = _read_configuration(args.config)
+    c = _read_wire(args.config)
     sys_ = build_surface(c, _parse_int_list(args.base))
     lifted = []
     failures = []
@@ -209,12 +199,8 @@ def _cmd_lift(args) -> dict:
 
 
 def _cmd_cover(args) -> dict:
-    curve_data = _unwrap(_read_json(args.curve))
-    try:
-        curve = PlaneCurve.from_dict(curve_data)
-    except (KeyError, TypeError, ValueError) as err:
-        raise CliUsageError(f"invalid curve JSON: {err}") from err
-    candidates = _read_configuration(args.from_file or args.config)
+    curve = _read_wire(args.curve, PlaneCurve.from_dict, "curve")
+    candidates = _read_wire(args.from_file or args.config)
     try:
         selection = choose_transverse_triple(curve, candidates)
     except (ThresholdError, HypothesisViolationError) as err:
@@ -240,7 +226,7 @@ def _cmd_certify(args) -> dict:
     else:
         if args.base is None:
             raise CliUsageError("certify needs --m M or a configuration with --base")
-        c = _read_configuration(args.from_file or args.config)
+        c = _read_wire(args.from_file or args.config)
         cert = certify_V(sys=build_surface(c, _parse_int_list(args.base)))
     payload = cert.to_dict()
     if cert.verdict:
@@ -251,20 +237,8 @@ def _cmd_certify(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
-    checkpoint = None
-    spec = None
-    if args.resume:
-        data = _unwrap(_read_json(args.resume))
-        try:
-            checkpoint = SearchCheckpoint.from_dict(data)
-        except (KeyError, TypeError, ValueError) as err:
-            raise CliUsageError(f"invalid checkpoint JSON: {err}") from err
-    if args.spec:
-        data = _unwrap(_read_json(args.spec))
-        try:
-            spec = SearchSpec.from_dict(data)
-        except (KeyError, TypeError, ValueError) as err:
-            raise CliUsageError(f"invalid search spec JSON: {err}") from err
+    checkpoint = _read_wire(args.resume, SearchCheckpoint.from_dict, "checkpoint") if args.resume else None
+    spec = _read_wire(args.spec, SearchSpec.from_dict, "search spec") if args.spec else None
     if spec is None and checkpoint is None:
         raise CliUsageError("search needs --spec FILE or --resume FILE")
 
@@ -278,9 +252,8 @@ def _cmd_search(args) -> dict:
         max_cells=args.max_cells,
         progress=progress if args.progress else None,
     )
-    diags = []
-    if not out.complete():
-        diags.append(_diag("info", f"{len(out.frontier)} cells remain; resume with --resume"))
+    remaining = out.remaining_cells()
+    diags = [_diag("info", f"{remaining} cells remain; resume with --resume")] if remaining else []
     return _result("ok", out.to_dict(), diags)
 
 
@@ -367,6 +340,10 @@ def run(argv: "list[str]") -> tuple[dict, int]:
     try:
         args = parser.parse_args(argv)
         result = args.func(args)
+    except NotRdsMatrixError:  # normalize and invert need a rational distance set
+        result = _result(
+            "violation", {}, [_diag("error", "configuration is not a rational distance set")]
+        )
     except ValueError as err:  # CliUsageError and every library domain error
         result = _result("error", {}, [_diag("error", str(err))])
     return result, _STATUS_CODE[result["status"]]

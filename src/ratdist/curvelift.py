@@ -27,6 +27,7 @@ from .exactnum import (
     ImQuadPoly,
     format_rational,
     omega,
+    parse_int,
     parse_rational,
     squarefree_decomposition,
 )
@@ -172,11 +173,11 @@ class PlaneCurve:
     @classmethod
     def from_dict(cls, d: dict) -> "PlaneCurve":
         coeffs = {
-            (int(m["i"]), int(m["j"]), int(m["k"])): parse_rational(m["c"])
+            (parse_int(m["i"]), parse_int(m["j"]), parse_int(m["k"])): parse_rational(m["c"])
             for m in d["monomials"]
         }
         curve = cls.from_coeffs(coeffs)
-        if "degree" in d and int(d["degree"]) != curve.degree:
+        if "degree" in d and parse_int(d["degree"]) != curve.degree:
             raise CurveliftError(
                 f"declared degree {d['degree']} does not match monomials of degree {curve.degree}"
             )
@@ -601,6 +602,8 @@ def build_double_cover(
         triple = triple.triple
     if k is None:
         raise CurveliftError("field parameter k is required with a bare triple")
+    if k < 1:
+        raise CurveliftError(f"field parameter k must be >= 1, got {k}")
     if len(set(triple)) != 3:
         raise CurveliftError("cover needs three distinct base points")
     d = curve.degree
@@ -614,22 +617,12 @@ def build_double_cover(
 
     lines = six_lines(triple, k)
     exact = smooth_curve is True or d == 1
+    if exact:
+        substituted = [substitute_line(curve, line) for line in lines]
+        exact = all(not p.is_zero() and p.degree == d for p in substituted)
+    if exact:
+        exact = not any(_shared_curve_points(curve, lines))
     r_exact = 0
-    if exact:
-        try:
-            substituted = [substitute_line(curve, line) for line in lines]
-        except Exception:
-            substituted = None
-            exact = False
-        if substituted is not None:
-            for p in substituted:
-                if p.is_zero() or p.degree != d:
-                    exact = False
-                    break
-    if exact:
-        shared = _shared_curve_points(curve, lines)
-        if any(shared_pts for shared_pts in shared):
-            exact = False
     if exact:
         for p in substituted:
             for factor, mult in squarefree_decomposition(p):

@@ -45,6 +45,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_int(value: int) -> int:
+    """Parse a wire integer: a JSON int only; rejects bools, floats and strings."""
+    if type(value) is not int:
+        raise ExactnumError(f"integer must be a JSON int, got {type(value).__name__}")
+    return value
+
+
 def format_rational(q: Fraction) -> str:
     """Serialize as "p/q", or "p" when the denominator is 1; sign on p."""
     return str(Fraction(q))
@@ -212,7 +219,7 @@ class ImQuadElement:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImQuadElement":
-        return cls(parse_rational(d["re"]), parse_rational(d["im"]), int(d["k"]))
+        return cls(parse_rational(d["re"]), parse_rational(d["im"]), parse_int(d["k"]))
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .exactnum import (
     format_rational,
     is_squarefree,
+    parse_int,
     parse_rational,
     rational_sqrt,
     squarefree_part,
@@ -88,11 +89,11 @@ class Configuration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Configuration":
-        return cls(
-            int(d["k"]),
-            tuple(LatticePoint.from_dict(p) for p in d["points"]),
-            str(d.get("provenance", "")),
-        )
+        k, points = parse_int(d["k"]), tuple(LatticePoint.from_dict(p) for p in d["points"])
+        provenance = d.get("provenance", "")
+        if not isinstance(provenance, str):
+            raise PlanesetError(f"provenance must be a string, got {type(provenance).__name__}")
+        return cls(k, points, provenance)
 
 
 @dataclass(frozen=True)
@@ -289,13 +290,8 @@ def normalize(c: Configuration) -> Configuration:
     """Canonical lattice form: first two points to (0,0), (1,0); idempotent."""
     if c.n < 2:
         raise PlanesetError("normalization needs at least two points")
-    report = verify_rds(c)
-    if not report.is_rds:
-        raise PlanesetError(
-            f"not an RDS: {len(report.failing_pairs)} pairwise distances are irrational"
-        )
-    out = embed_from_distances(distance_matrix(c), provenance=c.provenance)
-    return out
+    # the embedding raises NotRdsMatrixError on the first irrational distance
+    return embed_from_distances(distance_matrix(c), provenance=c.provenance)
 
 
 def collinear(p1: LatticePoint, p2: LatticePoint, p3: LatticePoint) -> bool:
@@ -448,13 +444,13 @@ def invert(c: Configuration, center_index: int) -> Configuration:
     The center is kept fixed and excluded from the mapping; every other
     point A maps to P + (A-P)/|A-P|^2, which stays in the lattice because
     |A-P|^2 is rational.  Applied twice at the same center this is the
-    identity, and it preserves the rational-distance property.
+    identity, and it preserves the rational-distance property.  A
+    non-RDS input raises NotRdsMatrixError, before the center is checked.
     """
+    if not verify_rds(c).is_rds:
+        raise NotRdsMatrixError("inversion requires a rational distance set")
     if not 0 <= center_index < c.n:
-        raise PlanesetError(f"center index {center_index} out of range")
-    report = verify_rds(c)
-    if not report.is_rds:
-        raise PlanesetError("inversion requires a rational distance set")
+        raise PlanesetError(f"center index {center_index} out of range for {c.n} points")
     center = c.points[center_index]
     out = []
     for idx, p in enumerate(c.points):

@@ -24,7 +24,6 @@ adjacency; the RDS_THREADS environment variable caps parallelism.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exactnum import is_squarefree, rational_sqrt
+from .exactnum import is_squarefree, parse_int, rational_sqrt
 from .planeset import (
     Configuration,
     DistanceMatrix,
@@ -81,10 +80,10 @@ class SearchSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SearchSpec":
         return cls(
-            int(d["k"]),
-            int(d["numerator_bound"]),
-            int(d["denominator_bound"]),
-            int(d["target_size"]),
+            parse_int(d["k"]),
+            parse_int(d["numerator_bound"]),
+            parse_int(d["denominator_bound"]),
+            parse_int(d["target_size"]),
             Requirement(d.get("require", "any")),
         )
 
@@ -92,28 +91,31 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchCheckpoint:
     spec: SearchSpec
-    frontier: tuple[Configuration, ...]
     found: tuple[Configuration, ...]
     exhausted_ranges: tuple[tuple[int, int], ...]
 
+    def remaining_cells(self) -> int:
+        """Number of first-point cells of the grid not yet exhausted."""
+        exhausted = _cells_of_ranges(self.exhausted_ranges)
+        return sum(c not in exhausted for c in range(len(_grid_values(self.spec)) ** 2))
+
     def complete(self) -> bool:
-        return not self.frontier
+        return self.remaining_cells() == 0
 
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
-            "frontier": [c.to_dict() for c in self.frontier],
             "found": [c.to_dict() for c in self.found],
             "exhausted_ranges": [list(r) for r in self.exhausted_ranges],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SearchCheckpoint":
+        # a "frontier" key, written by older versions, is ignored
         return cls(
             SearchSpec.from_dict(d["spec"]),
-            tuple(Configuration.from_dict(c) for c in d["frontier"]),
             tuple(Configuration.from_dict(c) for c in d["found"]),
-            tuple((int(lo), int(hi)) for lo, hi in d["exhausted_ranges"]),
+            tuple((parse_int(lo), parse_int(hi)) for lo, hi in d["exhausted_ranges"]),
         )
 
 
@@ -329,14 +331,11 @@ def _search_one_cell(
     return out
 
 
-def _run_cells_job(spec_json: str, adjacency: list[int], cells: tuple[int, ...]) -> list[dict]:
+def _run_cells_job(
+    spec: SearchSpec, grid: tuple[LatticePoint, ...], adjacency: list[int], cells: tuple[int, ...]
+) -> list[Configuration]:
     # module-level so process pools can pickle it
-    spec = SearchSpec.from_dict(json.loads(spec_json))
-    grid = grid_points(spec)
-    out = []
-    for cell in cells:
-        out.extend(c.to_dict() for c in _search_one_cell(spec, grid, adjacency, cell))
-    return out
+    return [cfg for cell in cells for cfg in _search_one_cell(spec, grid, adjacency, cell)]
 
 
 def _merge_ranges(cells) -> tuple[tuple[int, int], ...]:
@@ -414,25 +413,19 @@ def search(
             if progress is not None:
                 progress({"event": "cell", "cell": cell, "classes": len(found)})
     else:
-        spec_json = json.dumps(spec.to_dict())
         chunks = [tuple(todo[i::workers]) for i in range(workers)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             jobs = {
-                pool.submit(_run_cells_job, spec_json, adjacency, chunk): chunk for chunk in chunks
+                pool.submit(_run_cells_job, spec, grid, adjacency, chunk): chunk for chunk in chunks
             }
             for job in as_completed(jobs):
-                for item in job.result():
-                    absorb(Configuration.from_dict(item))
+                for cfg in job.result():
+                    absorb(cfg)
                 if progress is not None:
                     progress({"event": "chunk", "cells": len(jobs[job]), "classes": len(found)})
 
-    done_cells = exhausted | set(todo)
-    remaining = [c for c in range(len(grid)) if c not in done_cells]
     return SearchCheckpoint(
         spec=spec,
-        frontier=tuple(
-            Configuration(spec.k, (grid[c],), provenance=f"cell:{c}") for c in remaining
-        ),
         found=tuple(found[key] for key in sorted(found)),
-        exhausted_ranges=_merge_ranges(done_cells),
+        exhausted_ranges=_merge_ranges(exhausted | set(todo)),
     )

@@ -14,11 +14,11 @@ classification against exact rank computations at small m.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import ImQuadElement, format_rational, omega, parse_rational, rational_sqrt
+from .exactnum import ImQuadElement, format_rational, omega, parse_int, parse_rational, rational_sqrt
 from .planeset import Configuration, LatticePoint, squared_distance
 
 
@@ -60,7 +60,7 @@ class QuadricSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadricSystem":
-        return cls(int(d["m"]), int(d["k"]), tuple(LatticePoint.from_dict(p) for p in d["base"]))
+        return cls(parse_int(d["m"]), parse_int(d["k"]), tuple(LatticePoint.from_dict(p) for p in d["base"]))
 
 
 @dataclass(frozen=True)
@@ -314,34 +314,12 @@ def certify_V(
         m = sys.m
     if m is None:
         raise SurfaceliftError("either m or a quadric system is required")
+    if m < 1:
+        raise SurfaceliftError(f"at least one base point is required, got m={m}")
     inv = surface_invariants(m)
-    if m < 3:
-        return GeneralTypeCertificate(
-            dim=2,
-            k_d=Fraction(inv.k_squared),
-            records=(),
-            lhs=Fraction(inv.k_squared),
-            rhs=Fraction(0),
-            ample=inv.ample,
-            verdict=False,
-            reason="not ample",
-            m=m,
-        )
-    census = singularity_census(m)
-    cert = check_general_type(2, inv.k_squared, census, inv.ample, m=m)
-    if not inv.ample:
-        cert = GeneralTypeCertificate(
-            dim=cert.dim,
-            k_d=cert.k_d,
-            records=cert.records,
-            lhs=cert.lhs,
-            rhs=cert.rhs,
-            ample=cert.ample,
-            verdict=False,
-            reason="not ample",
-            m=m,
-        )
-    return cert
+    records = singularity_census(m) if m >= 3 else ()
+    cert = check_general_type(2, inv.k_squared, records, inv.ample, m=m)
+    return cert if inv.ample else replace(cert, reason="not ample")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from ratdist.cli import run
 from ratdist.planeset import Configuration, LatticePoint
+from ratdist.searchgen import SearchCheckpoint
 
 F = Fraction
 
@@ -174,12 +175,12 @@ def test_search_spec_file(tmp_path):
     spec_file.write_text(json.dumps(spec))
     code, result, _ = invoke(["search", "--spec", str(spec_file)])
     assert code == 0
-    assert result["payload"]["frontier"] == []
+    assert SearchCheckpoint.from_dict(result["payload"]).complete()
     assert len(result["payload"]["found"]) > 0
 
     # resume from a partial checkpoint gives the same final found set
     code2, partial, _ = invoke(["search", "--spec", str(spec_file), "--max-cells", "6"])
-    assert code2 == 0 and partial["payload"]["frontier"]
+    assert code2 == 0 and SearchCheckpoint.from_dict(partial["payload"]).remaining_cells() == 25 - 6
     resume_file = tmp_path / "cp.json"
     resume_file.write_text(json.dumps(partial["payload"]))
     code3, resumed, _ = invoke(["search", "--resume", str(resume_file)])
@@ -238,6 +239,94 @@ def test_json_number_coordinate_is_usage_error():
     # exactly one CommandResult on stdout, and no traceback
     assert json.loads(proc.stdout) == result
     assert "Traceback" not in proc.stderr
+
+
+def _single_error(result, code):
+    assert code == 2
+    assert result["status"] == "error" and result["payload"] == {}
+    assert len(result["diagnostics"]) == 1 and result["diagnostics"][0]["level"] == "error"
+
+
+SPEC = {"k": 1, "numerator_bound": 1, "denominator_bound": 1, "target_size": 3}
+X_AXIS_CURVE = {"degree": 1, "monomials": [{"i": 0, "j": 1, "k": 0, "c": "1"}]}
+COVER_CANDIDATES = json.loads(config_json(1, [(0, 1), (0, -1), (0, 2), (1, 1), (2, 5)]))
+
+
+def _spec_with(field):
+    def case(bad):
+        return ["search", "--spec", {**SPEC, field: bad}]
+    return case
+
+
+def _curve_with(field):
+    def case(bad):
+        curve = json.loads(json.dumps(X_AXIS_CURVE))
+        if field == "degree":
+            curve["degree"] = bad
+        else:
+            curve["monomials"][0][field] = bad
+        return ["cover", "--curve", curve, COVER_CANDIDATES]
+    return case
+
+
+INT_FIELD_CASES = {
+    "configuration.k": lambda bad: ["verify", {**json.loads(TRIANGLE), "k": bad}],
+    **{f"spec.{f}": _spec_with(f) for f in SPEC},
+    "checkpoint.exhausted_ranges": lambda bad: [
+        "search", "--resume", {"spec": SPEC, "found": [], "exhausted_ranges": [[0, bad]]}
+    ],
+    **{f"curve.monomial.{f}": _curve_with(f) for f in ("i", "j", "k")},
+    "curve.degree": _curve_with("degree"),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, True, "1"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("field", sorted(INT_FIELD_CASES))
+def test_ill_typed_integer_is_usage_error(tmp_path, field, bad):
+    # each JSON object in the case becomes a file argument
+    argv = []
+    for i, arg in enumerate(INT_FIELD_CASES[field](bad)):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        argv.append(arg)
+    result, code = run(argv)
+    _single_error(result, code)
+    message = result["diagnostics"][0]["message"]
+    assert message.startswith("invalid ") and "must be a JSON int" in message
+
+
+NOT_RDS = {
+    "status": "violation",
+    "payload": {},
+    "diagnostics": [{"level": "error", "message": "configuration is not a rational distance set"}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["normalize"], ["invert", "--center", "0"], ["invert", "--center", "9"]],
+    ids=["normalize", "invert", "invert-out-of-range"],
+)
+def test_non_rds_is_violation(argv):
+    code, result, proc = invoke(argv, stdin_text=SQUARE)
+    assert code == 1 and result == NOT_RDS
+    assert "Traceback" not in proc.stderr
+
+
+def test_invert_out_of_range_message():
+    code, result, _ = invoke(["invert", "--center", "9"], stdin_text=TRIANGLE)
+    assert code == 2
+    assert result["diagnostics"] == [
+        {"level": "error", "message": "center index 9 out of range for 3 points"}
+    ]
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_certify_m_below_one_is_usage_error(m):
+    result, code = run(["certify", "--m", m])
+    _single_error(result, code)
 
 
 def test_byte_stable_output():

@@ -345,6 +345,16 @@ def test_double_cover_argument_validation():
         build_double_cover(X_AXIS, (pt(0, 1), pt(0, 2), pt(0, 3)))  # k missing
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_double_cover_rejects_nonpositive_k(k):
+    # exact mode used to swallow the field error and return interval bounds
+    triple = (pt(0, 1), pt(1, 1), pt(2, 5))
+    with pytest.raises(CurveliftError, match="k must be >= 1"):
+        build_double_cover(X_AXIS, triple, k=k, smooth_curve=True)
+    with pytest.raises(CurveliftError, match="k must be >= 1"):
+        build_double_cover(NODAL_CUBIC, triple, k=k)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -14,6 +14,7 @@ from ratdist.exactnum import (
     format_rational,
     is_squarefree,
     omega,
+    parse_int,
     parse_rational,
     poly_gcd,
     rational_sqrt,
@@ -180,6 +181,16 @@ def test_rational_wire_format():
 def test_parse_rational_rejects_non_strings(bad):
     with pytest.raises(ExactnumError):
         parse_rational(bad)
+
+
+def test_parse_int_accepts_json_ints():
+    assert parse_int(0) == 0 and parse_int(-7) == -7 and parse_int(10**30) == 10**30
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, False, "1", None, [1], {"k": 1}])
+def test_parse_int_rejects_everything_else(bad):
+    with pytest.raises(ExactnumError, match="JSON int"):
+        parse_int(bad)
 
 
 def test_imquad_dict_roundtrip():

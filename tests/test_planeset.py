@@ -177,6 +177,11 @@ def test_normalize_requires_rds():
         normalize(cfg(1, (0, 0), (1, 0), (0, 1)))
 
 
+def test_normalize_non_rds_raises_not_rds_matrix():
+    with pytest.raises(NotRdsMatrixError):
+        normalize(cfg(1, (0, 0), (1, 0), (0, 1)))
+
+
 # ---------------------------------------------------------------------------
 # predicates
 
@@ -468,6 +473,13 @@ def test_invert_requires_rds():
         invert(cfg(1, (0, 0), (1, 0), (0, 1)), 0)
 
 
+def test_invert_checks_rds_before_the_center_range():
+    with pytest.raises(NotRdsMatrixError):
+        invert(cfg(1, (0, 0), (1, 0), (0, 1)), 9)
+    with pytest.raises(PlanesetError, match="center index 9 out of range for 3 points"):
+        invert(TRIANGLE_345, 9)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -475,6 +487,16 @@ def test_invert_requires_rds():
 def test_configuration_json_roundtrip():
     c = cfg(3, (0, 0), (1, 0), provenance="fixture")
     assert Configuration.from_dict(c.to_dict()) == c
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("k", 1.0), ("k", True), ("k", "1"), ("provenance", 5), ("provenance", None)]
+)
+def test_configuration_from_dict_rejects_ill_typed_fields(field, bad):
+    d = cfg(1, (0, 0), (1, 0)).to_dict()
+    d[field] = bad
+    with pytest.raises(ValueError):
+        Configuration.from_dict(d)
 
 
 def test_distance_matrix_json_roundtrip():

@@ -1,13 +1,20 @@
 """CLI outputs conform to the JSON Schema documents shipped in docs/."""
 
+import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from ratdist.cli import run
+from ratdist.curvelift import PlaneCurve
+from ratdist.planeset import Configuration
+from ratdist.searchgen import SearchCheckpoint, SearchSpec, generate_circle_rds
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -67,3 +74,83 @@ def test_violation_and_error_results_conform(validators):
     result2, code2 = run(["certify"])
     assert code2 == 2
     validators["command_result.json"].validate(result2)
+
+
+# Arbitrary JSON, plus configurations that are well formed or nearly so: at
+# most six points, from small rationals or from a rational-distance circle,
+# with k near the valid range and any field possibly replaced by junk.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-6, 6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+RATIONAL_TEXT = st.integers(-6, 6).map(str) | st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(1, 4)
+)
+CIRCLE_POINTS = generate_circle_rds(8).to_dict()["points"]
+POINTS = st.lists(
+    st.fixed_dictionaries({"x": RATIONAL_TEXT, "yc": RATIONAL_TEXT}), max_size=6
+) | st.lists(st.sampled_from(CIRCLE_POINTS), max_size=6, unique_by=json.dumps)
+CONFIGURATION = st.fixed_dictionaries(
+    {"k": st.sampled_from([1, 1, 2, 3]) | st.integers(-1, 7), "points": POINTS},
+    optional={"provenance": st.text(max_size=4)},
+)
+JUNKED = st.tuples(CONFIGURATION, st.sampled_from(["k", "points", "provenance"]), JSON_VALUES).map(
+    lambda t: {**t[0], t[1]: t[2]}
+)
+WIRE_INPUT = (
+    CONFIGURATION
+    | CONFIGURATION.map(lambda c: {"status": "ok", "payload": c, "diagnostics": []})
+    | JUNKED
+    | JSON_VALUES
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=WIRE_INPUT)
+def test_fuzzed_configuration_gives_one_valid_result(validators, data):
+    # search, --workers and certify --m are left out: they can start
+    # processes or allocate without bound
+    text = json.dumps(data)
+    for argv in (["verify"], ["normalize"], ["audit"], ["invert", "--center", "0"]):
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            result, code = run(argv)
+        validators["command_result.json"].validate(result)
+        assert code in (0, 1, 2)
+        assert code == {"ok": 0, "violation": 1, "error": 2}[result["status"]]
+        json.dumps(result)
+
+
+# Nested objects keyed by the wire field names, so the decoders get past
+# their first lookup and meet junk at every depth.
+WIRE_KEYS = st.sampled_from(
+    ["k", "points", "provenance", "x", "yc", "spec", "found", "exhausted_ranges",
+     "numerator_bound", "denominator_bound", "target_size", "require",
+     "monomials", "degree", "i", "j", "c"]
+)
+KEYED_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False) | RATIONAL_TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(WIRE_KEYS, children, max_size=6),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=KEYED_JSON)
+def test_decoders_raise_only_usage_errors(data):
+    # the CLI turns exactly these three into a usage error (exit 2)
+    for decode in (
+        Configuration.from_dict,
+        SearchSpec.from_dict,
+        SearchCheckpoint.from_dict,
+        PlaneCurve.from_dict,
+    ):
+        try:
+            decode(data)
+        except (KeyError, TypeError, ValueError):
+            pass

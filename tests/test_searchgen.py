@@ -278,7 +278,7 @@ def test_search_resume_equals_fresh():
     fresh = search(TINY)
     part = search(TINY, max_cells=7)
     assert not part.complete()
-    assert len(part.frontier) == 25 - 7
+    assert part.remaining_cells() == 25 - 7
     resumed = search(checkpoint=part)
     assert resumed.complete()
     assert resumed.found == fresh.found

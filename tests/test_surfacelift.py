@@ -232,6 +232,27 @@ def test_certify_m3_not_ample():
     assert not cert.verdict and cert.reason == "not ample"
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_certify_below_three_has_no_census(m):
+    assert certify_V(m).to_dict() == {
+        "m": m,
+        "dim": 2,
+        "K_d": str((m - 3) ** 2 * 2**m),
+        "records": [],
+        "lhs": str((m - 3) ** 2 * 2**m),
+        "rhs": "0",
+        "ample": False,
+        "verdict": False,
+        "reason": "not ample",
+    }
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_certify_needs_a_base_point(m):
+    with pytest.raises(SurfaceliftError):
+        certify_V(m)
+
+
 def test_certify_with_system():
     cert = certify_V(sys=RECT_SYS)
     assert cert.m == 4 and cert.verdict

@@ -16,7 +16,9 @@ Consumers unwrap a CommandResult on input, so generators compose:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .curvelift import (
@@ -94,6 +96,8 @@ def _read_json(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise CliUsageError(f"malformed JSON in {path}: {err}") from err
+    except RecursionError as err:
+        raise CliUsageError(f"malformed JSON in {path}: nested too deeply") from err
     if not isinstance(data, dict):
         raise CliUsageError(f"expected a JSON object in {path}")
     return data
@@ -334,11 +338,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built on first use, not at import; parse_args keeps no state between calls
+    return build_parser()
+
+
 def run(argv: "list[str]") -> tuple[dict, int]:
     """Execute one command; returns the CommandResult and the exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         result = args.func(args)
     except NotRdsMatrixError:  # normalize and invert need a rational distance set
         result = _result(
@@ -351,8 +360,15 @@ def run(argv: "list[str]") -> tuple[dict, int]:
 
 def main(argv: "list[str] | None" = None) -> int:
     result, code = run(sys.argv[1:] if argv is None else argv)
-    json.dump(result, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        sys.stdout.write(json.dumps(result, indent=2) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send the unflushed rest to devnull so that
+        # interpreter shutdown stays quiet (Python docs, "Note on SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

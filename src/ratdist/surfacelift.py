@@ -8,7 +8,8 @@ evaluated from the closed-form classification: m * 2^(m-1) finite ordinary
 double points (multiplicity 2, discrepancy 0) plus two ordinary multiple
 points at infinity with multiplicity 2^(m-2) and discrepancy 3 - m, while
 K^2 = (m-3)^2 * 2^m.  A Jacobian spot check is provided to verify the
-classification against exact rank computations at small m.
+classification against exact rank computations at small m.  Certificates
+are issued for m up to MAX_M.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from typing import NamedTuple
 
 from .exactnum import ImQuadElement, format_rational, omega, parse_int, parse_rational, rational_sqrt
 from .planeset import Configuration, LatticePoint, squared_distance
+
+# Largest m that certify_V accepts.  K^2 = (m-3)^2 * 2^m then has about
+# 1,240 digits, under Python's default 4,300-digit int-to-str limit.
+MAX_M = 4096
 
 
 class SurfaceliftError(ValueError):
@@ -149,7 +154,7 @@ class SingularityRecord(NamedTuple):
             loc = f"finite:base={self.location[1]}:sheet={self.location[2]}"
         else:
             loc = f"infinity:{self.location[1]}"
-        return {"loc": loc, "e": self.e, "a": format_rational(self.a)}
+        return {"loc": loc, "count": 1, "e": self.e, "a": format_rational(self.a)}
 
 
 class SingularityCensus(Sequence):
@@ -202,6 +207,13 @@ class SingularityCensus(Sequence):
     def noncanonical(self) -> tuple[SingularityRecord, ...]:
         return tuple(r for r in self._infinity if not r.canonical)
 
+    def classes(self) -> list[dict]:
+        """Wire form in O(1): the finite double points as one counted class,
+        then each point at infinity with count 1."""
+        finite = self._finite_record(0).to_dict()
+        finite.update(loc="finite", count=self._finite)
+        return [finite] + [r.to_dict() for r in self._infinity]
+
 
 def singularity_census(sys: "QuadricSystem | int") -> SingularityCensus:
     """All singular points of V with their multiplicities and discrepancies.
@@ -234,7 +246,11 @@ def surface_invariants(sys: "QuadricSystem | int") -> SurfaceInvariants:
 
 @dataclass(frozen=True)
 class GeneralTypeCertificate:
-    """Audit record for the criterion K^d > sum(|a|^d * e) over a < 0."""
+    """Audit record for the criterion K^d > sum(|a|^d * e) over a < 0.
+
+    On the wire every record carries a count: a census serializes as its
+    counted classes, any other record sequence as one record each.
+    """
 
     dim: int
     k_d: Fraction
@@ -247,11 +263,15 @@ class GeneralTypeCertificate:
     m: int | None = None
 
     def to_dict(self) -> dict:
+        if isinstance(self.records, SingularityCensus):
+            records = self.records.classes()
+        else:
+            records = [r.to_dict() for r in self.records]
         return {
             "m": self.m,
             "dim": self.dim,
             "K_d": format_rational(self.k_d),
-            "records": [r.to_dict() for r in self.records],
+            "records": records,
             "lhs": format_rational(self.lhs),
             "rhs": format_rational(self.rhs),
             "ample": self.ample,
@@ -316,6 +336,8 @@ def certify_V(
         raise SurfaceliftError("either m or a quadric system is required")
     if m < 1:
         raise SurfaceliftError(f"at least one base point is required, got m={m}")
+    if m > MAX_M:  # checked before anything computes 2**m
+        raise SurfaceliftError(f"m={m} exceeds the supported maximum MAX_M={MAX_M}")
     inv = surface_invariants(m)
     records = singularity_census(m) if m >= 3 else ()
     cert = check_general_type(2, inv.k_squared, records, inv.ample, m=m)

@@ -1,13 +1,20 @@
 """Tests for the CLI: subcommands, exit codes, pipes, and byte stability."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from ratdist.cli import run
+from ratdist import cli
+from ratdist.cli import build_parser, main, run
+from ratdist.surfacelift import MAX_M
 from ratdist.planeset import Configuration, LatticePoint
 from ratdist.searchgen import SearchCheckpoint
 
@@ -342,3 +349,125 @@ def test_run_in_process_matches_subprocess():
     result, code = run(["certify", "--m", "5"])
     assert code == 0
     assert result["payload"]["lhs"] == "128" and result["payload"]["rhs"] == "64"
+
+
+# ---------------------------------------------------------------------------
+# bounded certify output, hostile input and a closed stdout
+
+
+def test_certify_m40_is_small_and_fast():
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["certify", "--m", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert len(out.getvalue().encode()) < 2048
+    records = json.loads(out.getvalue())["payload"]["records"]
+    assert sum(r["count"] for r in records) == 40 * 2**39 + 2
+
+
+@pytest.mark.parametrize("m", [str(MAX_M + 1), str(10**12)])
+def test_certify_above_max_m_is_usage_error(m):
+    result, code = run(["certify", "--m", m])
+    _single_error(result, code)
+    assert "MAX_M" in result["diagnostics"][0]["message"]
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"k": ' * 100_000], ids=["array", "object"])
+def test_deeply_nested_json_is_usage_error(text):
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        result, code = run(["verify"])
+    _single_error(result, code)
+    assert "nested too deeply" in result["diagnostics"][0]["message"]
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone; fileno() is a scratch file's."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [(["certify", "--m", "4"], 0), (["certify", "--m", "3"], 1), (["certify"], 2)]
+)
+def test_broken_pipe_returns_the_command_code(tmp_path, argv, expected):
+    with open(tmp_path / "out", "w") as fh:
+        with mock.patch("sys.stdout", _ClosedPipe(fh.fileno())):
+            assert main(argv) == expected
+        # stdout now points at the null device, so the exit flush is quiet
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+
+
+def test_closed_stdout_prints_no_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratdist.cli", "certify", "--m", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once_and_not_at_import():
+    code = "import ratdist.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.strip() == "0"
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+def test_shared_parser_matches_fresh_parsers(tmp_path):
+    tri = tmp_path / "tri.json"
+    tri.write_text(TRIANGLE)
+    sq = tmp_path / "sq.json"
+    sq.write_text(SQUARE)
+    rect = tmp_path / "rect.json"
+    rect.write_text(config_json(1, [(0, 0), (3, 0), (0, 4), (3, 4)]))
+    argvs = [
+        ["verify", str(tri)],
+        ["audit", str(sq), "--require", "literal"],
+        ["frobnicate"],
+        ["audit", str(sq)],
+        ["invert", str(tri), "--center", "1"],
+        ["invert", str(tri)],
+        ["invert", str(tri), "--center", "0"],
+        ["certify", "--m", "5"],
+        ["audit", str(sq), "--require", "bogus"],
+        ["certify", "--m", "abc"],
+        ["certify", "--from", str(rect), "--base", "0,1,2,3"],
+        ["certify", str(rect)],
+        ["certify", "--m", "3"],
+        ["generate", "line", "--n", "3", "--offsets", "0,1,5/2"],
+        ["generate", "circle"],
+        ["generate", "line", "--n", "4"],
+        ["lift", str(rect), "--base", "0,1,2,3"],
+        ["audit", str(sq), "--require", "both"],
+        ["normalize", str(tri)],
+        ["verify", str(sq)],
+        [],
+    ]
+    with mock.patch.object(cli, "_parser", build_parser):
+        fresh = [run(argv) for argv in argvs]
+    for order in (argvs, argvs[::-1], argvs[::2] + argvs[1::2]):
+        shared = {json.dumps(argv): run(argv) for argv in order}
+        assert [shared[json.dumps(argv)] for argv in argvs] == fresh
+    for argv in argvs[:2] + argvs[4:5] + argvs[13:14]:
+        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))

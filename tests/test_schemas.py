@@ -15,6 +15,7 @@ from ratdist.cli import run
 from ratdist.curvelift import PlaneCurve
 from ratdist.planeset import Configuration
 from ratdist.searchgen import SearchCheckpoint, SearchSpec, generate_circle_rds
+from ratdist.surfacelift import MAX_M
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -114,8 +115,7 @@ WIRE_INPUT = (
 @settings(max_examples=150, deadline=None)
 @given(data=WIRE_INPUT)
 def test_fuzzed_configuration_gives_one_valid_result(validators, data):
-    # search, --workers and certify --m are left out: they can start
-    # processes or allocate without bound
+    # search and --workers are left out: they can start processes
     text = json.dumps(data)
     for argv in (["verify"], ["normalize"], ["audit"], ["invert", "--center", "0"]):
         with mock.patch("sys.stdin", io.StringIO(text)):
@@ -124,6 +124,46 @@ def test_fuzzed_configuration_gives_one_valid_result(validators, data):
         assert code in (0, 1, 2)
         assert code == {"ok": 0, "violation": 1, "error": 2}[result["status"]]
         json.dumps(result)
+
+
+def _check_certify(validators, argv, stdin_text=""):
+    with mock.patch("sys.stdin", io.StringIO(stdin_text)):
+        result, code = run(argv)
+    validators["command_result.json"].validate(result)
+    assert code == {"ok": 0, "violation": 1, "error": 2}[result["status"]]
+    if result["status"] != "error":
+        validators["certificate.json"].validate(result["payload"])
+    json.dumps(result)
+    return result, code
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(-5, 20)
+    | st.integers(MAX_M - 3, MAX_M + 3)
+    | st.sampled_from([10**12, 10**30, -(10**30)])
+    | st.integers()
+)
+def test_fuzzed_certify_m_gives_one_valid_result(validators, m):
+    result, code = _check_certify(validators, ["certify", "--m", str(m)])
+    if 1 <= m <= MAX_M:
+        assert code == (0 if m >= 4 else 1)
+        assert sum(r["count"] for r in result["payload"]["records"]) == (
+            m * 2 ** (m - 1) + 2 if m >= 3 else 0
+        )
+    else:
+        assert code == 2
+
+
+BASE_TEXT = st.lists(st.integers(-1, 6), max_size=7).map(lambda xs: ",".join(map(str, xs))) | st.text(
+    max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=WIRE_INPUT, base=BASE_TEXT)
+def test_fuzzed_certify_base_gives_one_valid_result(validators, data, base):
+    _check_certify(validators, ["certify", "--base=" + base, "-"], json.dumps(data))
 
 
 # Nested objects keyed by the wire field names, so the decoders get past

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratdist.planeset import Configuration, LatticePoint
 from ratdist.surfacelift import (
+    MAX_M,
     GeneralTypeCertificate,
     LiftedPoint,
     NotAmpleError,
@@ -284,8 +285,57 @@ def test_certificate_json():
     payload = certify_V(4).to_dict()
     assert payload["lhs"] == "16" and payload["rhs"] == "8"
     assert payload["verdict"] is True
-    assert len(payload["records"]) == 34
-    assert payload["records"][-1] == {"loc": "infinity:-", "e": 4, "a": "-1"}
+    # the 34 census points as three counted classes
+    assert payload["records"] == [
+        {"loc": "finite", "count": 32, "e": 2, "a": "0"},
+        {"loc": "infinity:+", "count": 1, "e": 4, "a": "-1"},
+        {"loc": "infinity:-", "count": 1, "e": 4, "a": "-1"},
+    ]
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_certificate_record_counts_cover_the_census(m):
+    records = certify_V(m).to_dict()["records"]
+    expected = len(singularity_census(m)) if m >= 3 else 0
+    assert sum(r["count"] for r in records) == expected
+    assert all(r["count"] >= 1 for r in records)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_certificate_rhs_recomputed_from_wire_records(m):
+    payload = certify_V(m).to_dict()
+    rhs = sum(
+        r["count"] * r["e"] * abs(F(r["a"])) ** payload["dim"]
+        for r in payload["records"]
+        if F(r["a"]) < 0
+    )
+    assert rhs == F(payload["rhs"])
+
+
+def test_plain_records_serialize_one_each():
+    recs = (
+        SingularityRecord(("finite", 2, 1), 2, F(0), True),
+        SingularityRecord(("infinity", "+"), 4, F(-1), False),
+    )
+    assert check_general_type(2, 16, recs, True).to_dict()["records"] == [
+        {"loc": "finite:base=2:sheet=1", "count": 1, "e": 2, "a": "0"},
+        {"loc": "infinity:+", "count": 1, "e": 4, "a": "-1"},
+    ]
+
+
+def test_certify_at_max_m_is_fast():
+    start = time.perf_counter()
+    payload = certify_V(MAX_M).to_dict()
+    assert time.perf_counter() - start < 1.0
+    assert payload["m"] == MAX_M and payload["verdict"] is True
+    assert F(payload["K_d"]) == (MAX_M - 3) ** 2 * 2**MAX_M
+    assert payload["records"][0]["count"] == MAX_M * 2 ** (MAX_M - 1)
+
+
+@pytest.mark.parametrize("m", [MAX_M + 1, 10**12])
+def test_certify_above_max_m_raises(m):
+    with pytest.raises(SurfaceliftError, match="MAX_M"):
+        certify_V(m)
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def squarefree_part(
 def is_squarefree(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> bool:
     if n < 1:
         return False
-    s, _ = squarefree_part(Fraction(n), prime_bound)
+    s, _ = _squarefree_split_int(n, prime_bound)
     return s == n
 
 

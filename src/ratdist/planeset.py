@@ -2,9 +2,11 @@
 
 A configuration stores points in lattice form: the pair (x, yc) stands for
 the real point (x, yc*sqrt(k)) for the configuration's shared squarefree
-k >= 1.  In these coordinates every squared distance is the rational
-(dx)^2 + k*(dyc)^2, which is what makes exact verification, normalization,
-unit-circle inversion, and the collinearity/concyclicity audits possible
+k >= 1.  With L the lcm of all coordinate denominators, (x, yc) = (X/L, Y/L)
+for integers X and Y, and every squared distance is N/L^2 for the integer
+N = (dX)^2 + k*(dY)^2, the square of a rational exactly when N is a perfect
+square.  Verification, the distance matrix, normalization's re-check and
+the collinearity/concyclicity audits all run on this one integer lattice,
 without any floating point.
 
 Configurations are immutable; every operation returns fresh values.
@@ -179,28 +181,42 @@ def squared_distance(p: LatticePoint, q: LatticePoint, k: int) -> Fraction:
     return dx * dx + k * dy * dy
 
 
+def integer_lattice(points: tuple[LatticePoint, ...]) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(X, Y), ...]) with (x, yc) = (X/L, Y/L), L the lcm of every denominator."""
+    scale = math.lcm(*[q.denominator for p in points for q in (p.x, p.yc)])
+    return scale, [
+        (p.x.numerator * (scale // p.x.denominator), p.yc.numerator * (scale // p.yc.denominator))
+        for p in points
+    ]
+
+
+def squared_numerators(points: tuple[LatticePoint, ...], k: int) -> tuple[int, list[list[int]]]:
+    """L and the matrix of integers N with squared distance N/L^2 per pair."""
+    scale, pts = integer_lattice(points)
+    return scale, [[(x - u) ** 2 + k * (y - v) ** 2 for u, v in pts] for x, y in pts]
+
+
 def distance_matrix(c: Configuration) -> DistanceMatrix:
-    pts = c.points
-    rows = tuple(
-        tuple(squared_distance(p, q, c.k) for q in pts) for p in pts
-    )
-    return DistanceMatrix(rows)
+    scale, nums = squared_numerators(c.points, c.k)
+    return DistanceMatrix(tuple(tuple(Fraction(e, scale * scale) for e in row) for row in nums))
 
 
 def verify_rds(c: Configuration) -> VerifyReport:
     """Check that every pairwise distance is rational; report failures."""
     n = c.n
+    scale, nums = squared_numerators(c.points, c.k)
+    zero = Fraction(0)
     dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
     failing: list[tuple[int, int, Fraction]] = []
     for i in range(n):
-        dist[i][i] = Fraction(0)
+        dist[i][i] = zero
         for j in range(i + 1, n):
-            sq = squared_distance(c.points[i], c.points[j], c.k)
-            r = rational_sqrt(sq)
-            if r is None:
-                failing.append((i, j, sq))
+            sq = nums[i][j]
+            r = math.isqrt(sq)
+            if r * r != sq:
+                failing.append((i, j, Fraction(sq, scale * scale)))
             else:
-                dist[i][j] = dist[j][i] = r
+                dist[i][j] = dist[j][i] = Fraction(r, scale)
     return VerifyReport(
         is_rds=not failing,
         failing_pairs=tuple(failing),
@@ -276,9 +292,10 @@ def embed_from_distances(m: DistanceMatrix, provenance: str = "embed_from_distan
             )
 
     pts = tuple(LatticePoint(xs[p], ycs[p]) for p in range(n))
+    scale, nums = squared_numerators(pts, k)
     for i in range(n):
         for j in range(i + 1, n):
-            got = squared_distance(pts[i], pts[j], k)
+            got = Fraction(nums[i][j], scale * scale)
             if got != sq[i][j]:
                 raise NotPlanarError(
                     f"not planar: embedded distance ({i},{j}) is {got}, expected {sq[i][j]}"
@@ -328,16 +345,6 @@ def concyclic(
     return det == 0
 
 
-def _integer_points(c: Configuration) -> list[tuple[int, int]]:
-    # Scaling every coordinate by one factor scales the real point set
-    # uniformly, so collinear and concyclic subsets are unchanged.
-    scale = math.lcm(*(q.denominator for p in c.points for q in (p.x, p.yc)))
-    return [
-        (p.x.numerator * (scale // p.x.denominator), p.yc.numerator * (scale // p.yc.denominator))
-        for p in c.points
-    ]
-
-
 def _best_group(
     groups: dict, best: int, witness: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]]:
@@ -358,7 +365,7 @@ def _max_collinear_concyclic(
     if n <= 2:
         return n, tuple(range(n)), n, tuple(range(n))
     k = c.k
-    pts = _integer_points(c)
+    _, pts = integer_lattice(c.points)
     best_col, wit_col = 2, (0, 1)
     best_cyc, wit_cyc = 2, (0, 1)
     for i in range(n - 1):
@@ -396,13 +403,13 @@ def _max_collinear_concyclic(
 def audit_general_position(c: Configuration) -> AuditReport:
     """Exact audit of the largest collinear and concyclic subsets.
 
-    The coordinates are scaled by the lcm of their denominators to
-    integers, a uniform scaling that keeps both predicates.  For each
-    anchor i, the points p > i are hashed by their primitive,
-    sign-normalized direction from i; for each anchor pair i < j, the
-    points p > j off the line ij are hashed by the circle through i, j
-    and p, written with i at the origin as x^2 + k*yc^2 + D*x + E*yc = 0
-    and keyed by the reduced integer triple (D*det, E*det, det), det > 0.
+    ``integer_lattice`` scales the coordinates to integers, a uniform
+    scaling that keeps both predicates.  For each anchor i, the points
+    p > i are hashed by their primitive, sign-normalized direction from i;
+    for each anchor pair i < j, the points p > j off the line ij are
+    hashed by the circle through i, j and p, written with i at the origin
+    as x^2 + k*yc^2 + D*x + E*yc = 0 and keyed by the reduced integer
+    triple (D*det, E*det, det), det > 0.
     Every line is thus found whole from its two lowest indices and every
     circle from its three lowest, in O(n^3) integer operations.  Lines
     never count as circles.

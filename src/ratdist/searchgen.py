@@ -1,10 +1,10 @@
 """Fixture generators and a bounded-height exhaustive search.
 
 The search grid holds the lattice points (p/q, (r/q') * sqrt(k)) with
-|p|, |r| <= numerator_bound and q, q' <= denominator_bound.  Scaled by
-L = lcm(1..denominator_bound) every grid point has integer coordinates
-(X, Y), and two grid points are at rational distance iff the integer
-(dX)^2 + k*(dY)^2 is a perfect square.  Each ``search`` call tests every
+|p|, |r| <= numerator_bound and q, q' <= denominator_bound.  On planeset's
+integer lattice, whose L is the least common multiple of 1..denominator_bound
+as every 1/q is on the grid, two grid points are at rational distance iff
+the integer (dX)^2 + k*(dY)^2 is a perfect square.  Each ``search`` call tests every
 grid pair once and keeps the answers as a bitset adjacency; a rational
 distance set of the target size is then a clique of that graph, listed by
 bitset recursion (Bron & Kerbosch, CACM 1973).
@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .exactnum import is_squarefree, parse_int, rational_sqrt
 from .planeset import (
@@ -38,6 +38,8 @@ from .planeset import (
     LatticePoint,
     audit_general_position,
     embed_from_distances,
+    integer_lattice,
+    squared_numerators,
 )
 
 
@@ -94,10 +96,15 @@ class SearchCheckpoint:
     found: tuple[Configuration, ...]
     exhausted_ranges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        cells = len(_grid_values(self.spec)) ** 2
+        for lo, hi in self.exhausted_ranges:
+            if not 0 <= lo < hi <= cells:
+                raise SearchgenError(f"exhausted range [{lo}, {hi}) outside the {cells} grid cells")
+
     def remaining_cells(self) -> int:
         """Number of first-point cells of the grid not yet exhausted."""
-        exhausted = _cells_of_ranges(self.exhausted_ranges)
-        return sum(c not in exhausted for c in range(len(_grid_values(self.spec)) ** 2))
+        return len(_grid_values(self.spec)) ** 2 - len(_cells_of_ranges(self.exhausted_ranges))
 
     def complete(self) -> bool:
         return self.remaining_cells() == 0
@@ -236,11 +243,7 @@ def canonical_form(c: Configuration) -> Configuration:
     if c.n < 2:
         raise SearchgenError("canonical form needs at least two points")
     k = c.k
-    scale = lcm(*(d for p in c.points for d in (p.x.denominator, p.yc.denominator)))
-    pts = [
-        (p.x.numerator * (scale // p.x.denominator), p.yc.numerator * (scale // p.yc.denominator))
-        for p in c.points
-    ]
+    _, pts = integer_lattice(c.points)
     best_perm: tuple[int, ...] = ()
     best: list[tuple[int, int, int]] | None = None
     best_den = 1
@@ -261,12 +264,9 @@ def canonical_form(c: Configuration) -> Configuration:
                 if cand is not None and (best is None or _precedes(cand, den, best, best_den)):
                     best, best_den = cand, den
                     best_perm = (a, b, *(i for _, _, i in cand))
-    # squared distances times scale^2: the embedding rescales by entry (0,1)
+    # squared distances times L^2: the embedding rescales by entry (0,1)
     # anyway, and an integer is a rational square iff it is a perfect square
-    ordered = [pts[i] for i in best_perm]
-    entries = tuple(
-        tuple((x - u) ** 2 + k * (y - v) ** 2 for u, v in ordered) for x, y in ordered
-    )
+    _, entries = squared_numerators(tuple(c.points[i] for i in best_perm), k)
     return embed_from_distances(DistanceMatrix(entries), provenance="canonical")
 
 
@@ -285,12 +285,9 @@ def _satisfies(c: Configuration, require: Requirement) -> bool:
     return report.strong_ok if require is Requirement.STRONG else report.literal_ok
 
 
-def _adjacency(spec: SearchSpec) -> list[int]:
+def _adjacency(grid: tuple[LatticePoint, ...], k: int) -> list[int]:
     """Bitset per grid cell of the higher cells at rational distance from it."""
-    scale = lcm(*range(1, spec.denominator_bound + 1))
-    values = [int(v * scale) for v in _grid_values(spec)]
-    pts = [(x, y) for x in values for y in values]
-    k = spec.k
+    _, pts = integer_lattice(grid)
     adjacency = [0] * len(pts)
     for i, (xi, yi) in enumerate(pts):
         bits = 0
@@ -405,7 +402,7 @@ def search(
         workers = min(workers, cap)
     workers = max(1, min(workers, len(todo) or 1))
 
-    adjacency = _adjacency(spec)
+    adjacency = _adjacency(grid, spec.k)
     if workers == 1:
         for cell in todo:
             for cfg in _search_one_cell(spec, grid, adjacency, cell):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from sys import maxsize
 from typing import NamedTuple
 
 from .exactnum import ImQuadElement, format_rational, omega, parse_int, parse_rational, rational_sqrt
@@ -162,8 +163,8 @@ class SingularityCensus(Sequence):
 
     Materializing half a million records for large m would dwarf the cost
     of every consumer, so the finite ordinary double points are generated
-    on demand: the sequence has O(1) length and random access, and exposes
-    the non-canonical records directly.
+    on demand with random access, and the non-canonical records are exposed
+    directly.  ``size`` is the exact length; len() raises above sys.maxsize.
     """
 
     def __init__(self, m: int) -> None:
@@ -174,6 +175,7 @@ class SingularityCensus(Sequence):
         self.m = m
         self._sheets = 2 ** (m - 1)
         self._finite = m * self._sheets
+        self.size = self._finite + 2
         a_inf = Fraction(3 - m)
         e_inf = 2 ** (m - 2)
         self._infinity = (
@@ -186,23 +188,20 @@ class SingularityCensus(Sequence):
         return SingularityRecord(("finite", j + 1, sheet), 2, Fraction(0), True)
 
     def __len__(self) -> int:
-        return self._finite + 2
+        if self.size > maxsize:
+            raise SurfaceliftError(f"the census has {self.size} records, too many for len()")
+        return self.size
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return [self[i] for i in range(*idx.indices(len(self)))]
+            return [self[i] for i in range(*idx.indices(self.size))]
         if idx < 0:
-            idx += len(self)
-        if not 0 <= idx < len(self):
+            idx += self.size
+        if not 0 <= idx < self.size:
             raise IndexError(idx)
         if idx < self._finite:
             return self._finite_record(idx)
         return self._infinity[idx - self._finite]
-
-    def __iter__(self):
-        for idx in range(self._finite):
-            yield self._finite_record(idx)
-        yield from self._infinity
 
     def noncanonical(self) -> tuple[SingularityRecord, ...]:
         return tuple(r for r in self._infinity if not r.canonical)

@@ -304,6 +304,21 @@ def test_ill_typed_integer_is_usage_error(tmp_path, field, bad):
     assert message.startswith("invalid ") and "must be a JSON int" in message
 
 
+@pytest.mark.parametrize(
+    "ranges", [[[0, 10**7]], [[0, 10**12]], [[-5, 3]], [[100, 200]], [[7, 2]]]
+)
+def test_search_resume_with_ranges_outside_the_grid_is_usage_error(tmp_path, ranges):
+    # SPEC has 9 grid cells; each of these ranges used to be accepted, and
+    # a wide one was expanded cell by cell
+    resume_file = tmp_path / "cp.json"
+    resume_file.write_text(json.dumps({"spec": SPEC, "found": [], "exhausted_ranges": ranges}))
+    start = time.perf_counter()
+    result, code = run(["search", "--resume", str(resume_file)])
+    assert time.perf_counter() - start < 0.5
+    _single_error(result, code)
+    assert "outside the 9 grid cells" in result["diagnostics"][0]["message"]
+
+
 NOT_RDS = {
     "status": "violation",
     "payload": {},

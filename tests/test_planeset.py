@@ -16,16 +16,19 @@ from ratdist.planeset import (
     NotPlanarError,
     NotRdsMatrixError,
     PlanesetError,
+    VerifyReport,
     audit_general_position,
     collinear,
     concyclic,
     distance_matrix,
     embed_from_distances,
+    integer_lattice,
     invert,
     normalize,
     squared_distance,
     verify_rds,
 )
+from ratdist.exactnum import rational_sqrt
 from ratdist.searchgen import generate_circle_rds, generate_line_rds
 
 F = Fraction
@@ -52,6 +55,32 @@ def two_circle_intersection_oracle(d0: F, d1: F):
     """
     x = (d0 * d0 + 1 - d1 * d1) / 2
     return x, d0 * d0 - x * x
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: one squared_distance and one rational_sqrt per pair, with
+# no integer scaling anywhere
+
+
+def oracle_distance_matrix(c: Configuration) -> DistanceMatrix:
+    pts = c.points
+    return DistanceMatrix(tuple(tuple(squared_distance(p, q, c.k) for q in pts) for p in pts))
+
+
+def oracle_verify_rds(c: Configuration) -> VerifyReport:
+    n = c.n
+    dist: list[list[F | None]] = [[None] * n for _ in range(n)]
+    failing = []
+    for i in range(n):
+        dist[i][i] = F(0)
+        for j in range(i + 1, n):
+            sq = squared_distance(c.points[i], c.points[j], c.k)
+            r = rational_sqrt(sq)
+            if r is None:
+                failing.append((i, j, sq))
+            else:
+                dist[i][j] = dist[j][i] = r
+    return VerifyReport(not failing, tuple(failing), tuple(tuple(row) for row in dist))
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +111,55 @@ def test_verify_rds_unit_square_fails_on_diagonal():
 
 def test_verify_rds_single_point_vacuous():
     assert verify_rds(cfg(5, (2, 3))).is_rds
+
+
+# Configurations for the differential tests: free points (almost never an
+# RDS), points on a horizontal line (an RDS for every k) and subsets of a
+# rational-distance circle (k = 1), each moved by a random similarity with
+# denominators up to about 10^6, negative coordinates included.
+CIRCLE_9 = generate_circle_rds(9).points
+COORD = st.integers(-6, 6).map(F) | st.fractions(-50, 50, max_denominator=10**6)
+
+
+@st.composite
+def lattice_configurations(draw):
+    k = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["free", "line", "circle"]))
+    n = draw(st.integers(0, 9))
+    if kind == "free":
+        base = draw(st.lists(st.builds(LatticePoint, COORD, COORD), max_size=n, unique=True))
+    elif kind == "line":
+        base = [LatticePoint(x, F(0)) for x in draw(st.lists(COORD, max_size=n, unique=True))]
+    else:
+        k = 1
+        base = draw(st.lists(st.sampled_from(CIRCLE_9), max_size=n, unique=True))
+    s = draw(COORD.filter(bool))
+    dx, dy = draw(COORD), draw(COORD)
+    return Configuration(k, tuple(LatticePoint(s * p.x + dx, s * p.yc + dy) for p in base))
+
+
+def assert_matches_fraction_oracles(c: Configuration) -> None:
+    scale, pts = integer_lattice(c.points)
+    assert [(F(x, scale), F(y, scale)) for x, y in pts] == [(p.x, p.yc) for p in c.points]
+    assert verify_rds(c) == oracle_verify_rds(c)
+    assert verify_rds(c).to_dict() == oracle_verify_rds(c).to_dict()
+    assert distance_matrix(c).to_dict() == oracle_distance_matrix(c).to_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_configurations())
+def test_verify_rds_and_distance_matrix_match_fraction_oracles(c):
+    assert_matches_fraction_oracles(c)
+
+
+@pytest.mark.parametrize("n", [3, 8, 14, 27, 40])
+def test_inverted_circles_match_fraction_oracles(n):
+    c = generate_circle_rds(n)
+    for center in sorted({0, 1, n // 2, n - 1}):
+        inverted = invert(c, center)
+        for d in (inverted, normalize(inverted)):
+            assert verify_rds(d).is_rds
+            assert_matches_fraction_oracles(d)
 
 
 def test_configuration_validation():
@@ -152,6 +230,16 @@ def test_embed_rejects_regular_tetrahedron():
         ones[i][i] = F(0)
     with pytest.raises(NotPlanarError):
         embed_from_distances(DistanceMatrix(tuple(tuple(r) for r in ones)))
+
+
+def test_embed_rechecks_the_distances_the_signs_left_unused():
+    # points 3 and 4 take their signs against point 2, so only the closing
+    # re-check sees that their own distance was quadrupled
+    rows = [list(row) for row in distance_matrix(normalize(generate_circle_rds(5))).entries]
+    rows[3][4] = rows[4][3] = 4 * rows[3][4]
+    message = r"embedded distance \(3,4\) is 5776/7225, expected 23104/7225"
+    with pytest.raises(NotPlanarError, match=message):
+        embed_from_distances(DistanceMatrix(tuple(tuple(row) for row in rows)))
 
 
 def test_normalize_translated_fixture():

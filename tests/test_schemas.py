@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -194,3 +195,99 @@ def test_decoders_raise_only_usage_errors(data):
             decode(data)
         except (KeyError, TypeError, ValueError):
             pass
+
+
+
+# search through run(): spec fields near and outside their valid ranges or
+# replaced by junk, --max-cells of any sign or not an integer, and --resume
+# checkpoints with junk fields and exhausted ranges inside or outside the
+# grid.  numerator_bound stays <= 3 and the grid at most 7x7 cells, and
+# --workers is always 1, so each call takes well under a second and starts
+# no process.
+NOT_INT = JSON_VALUES.filter(lambda v: type(v) is not int)
+BAD_RANGES = [[[0, 10**7]], [[0, 10**12]], [[-5, 3]], [[100, 200]], [[7, 2]], [[3, 3]]]
+FOUND_CLASS = generate_circle_rds(3).to_dict()
+
+
+@st.composite
+def search_arguments(draw):
+    """(spec JSON or None, checkpoint JSON or None, --max-cells text or None).
+
+    Half the draws are clean, so that searches run to a result; the others
+    may put an invalid value or junk in any field.
+    """
+    clean = draw(st.booleans())
+
+    def pick(valid, invalid):
+        return draw(st.sampled_from(valid if clean else valid + invalid))
+
+    def junk_one_field(obj: dict, fields) -> dict:
+        if not clean and draw(st.booleans()):
+            obj = {**obj, draw(st.sampled_from(fields)): draw(NOT_INT)}
+        return obj
+
+    nb = pick([1, 2, 3], [0, -1])
+    db = pick([1, 2] if nb <= 1 else [1], [0, -1])
+    spec = {
+        "k": pick([1, 2, 3, 7], [0, -1, 4, 8]),
+        "numerator_bound": nb,
+        "denominator_bound": db,
+        "target_size": pick([3, 4, 5, 6], [2, 0]),
+    }
+    if draw(st.booleans()):
+        spec["require"] = pick(["any", "strong_general_position", "literal_general_position"], ["x"])
+    spec = junk_one_field(spec, [*spec, "require"])
+
+    cells = len({Fraction(p, q) for q in range(1, db + 1) for p in range(-nb, nb + 1)}) ** 2
+    inside = st.integers(0, max(cells - 1, 0)).flatmap(
+        lambda lo: st.integers(lo + 1, max(cells, lo + 1)).map(lambda hi: [lo, hi])
+    )
+    ranges = st.lists(inside, max_size=3)
+    if not clean:
+        ranges |= st.sampled_from(BAD_RANGES) | st.lists(
+            st.tuples(st.integers(-5, 60), st.integers(-5, 60)).map(list), max_size=3
+        )
+    checkpoint = {
+        "spec": spec,
+        "found": draw(st.lists(st.just(FOUND_CLASS), max_size=1)),
+        "exhausted_ranges": draw(ranges),
+    }
+    checkpoint = junk_one_field(checkpoint, list(checkpoint))
+
+    max_cells = st.none() | st.integers(0, 60).map(str)
+    if not clean:
+        max_cells |= st.sampled_from(["-1", "-2", "abc", "1.5", "", str(10**12)])
+    kind = pick(["spec", "resume", "both"], ["neither", "junk"])
+    if kind == "junk":
+        return draw(JSON_VALUES), None, draw(max_cells)
+    return (
+        spec if kind in ("spec", "both") else None,
+        checkpoint if kind in ("resume", "both") else None,
+        draw(max_cells),
+    )
+
+
+@pytest.fixture(scope="module")
+def search_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("search")
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=search_arguments())
+def test_fuzzed_search_gives_one_valid_result(validators, search_dir, args):
+    spec, checkpoint, max_cells = args
+    argv = ["search", "--workers", "1"]
+    for flag, data in (("--spec", spec), ("--resume", checkpoint)):
+        if data is not None:
+            path = search_dir / f"{flag[2:]}.json"
+            path.write_text(json.dumps(data))
+            argv += [flag, str(path)]
+    if max_cells is not None:
+        argv += ["--max-cells", max_cells]
+    result, code = run(argv)
+    validators["command_result.json"].validate(result)
+    assert code == {"ok": 0, "error": 2}[result["status"]]
+    if code == 0:
+        validators["checkpoint.json"].validate(result["payload"])
+        SearchCheckpoint.from_dict(result["payload"])
+    json.dumps(result)

@@ -299,6 +299,28 @@ def test_search_checkpoint_spec_mismatch():
         search(DESK, checkpoint=part)
 
 
+NINE_CELLS = SearchSpec(k=1, numerator_bound=1, denominator_bound=1, target_size=3)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [((0, 10**7),), ((0, 10**12),), ((-5, 3),), ((100, 200),), ((7, 2),), ((4, 4),),
+     ((0, 9), (8, 10))],
+)
+def test_checkpoint_rejects_ranges_outside_the_grid(ranges):
+    start = time.perf_counter()
+    with pytest.raises(SearchgenError, match="9 grid cells"):
+        SearchCheckpoint(NINE_CELLS, (), ranges)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_checkpoint_accepts_ranges_within_the_grid():
+    cp = SearchCheckpoint(NINE_CELLS, (), ((0, 3), (2, 5), (8, 9)))
+    assert cp.remaining_cells() == 9 - 6
+    assert search(checkpoint=cp).exhausted_ranges == ((0, 9),)
+    assert SearchCheckpoint(NINE_CELLS, (), ((0, 9),)).complete()
+
+
 def test_search_parallel_matches_serial():
     serial = search(TINY)
     parallel = search(TINY, workers=4)

@@ -1,5 +1,6 @@
 """Tests for the quadric system, lifting, census, and the certificate."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -165,6 +166,30 @@ def test_census_sequence_semantics():
     assert census[9].location == ("finite", 2, 1)  # 8 sheets per base point
     with pytest.raises(IndexError):
         census[34]
+
+
+@pytest.mark.parametrize("m", [58, 59, 64, MAX_M])
+def test_census_size_and_indexing_beyond_index_sized_ints(m):
+    census = singularity_census(m)
+    finite = m * 2 ** (m - 1)
+    assert census.size == finite + 2
+    if census.size <= sys.maxsize:
+        assert len(census) == census.size
+    else:
+        with pytest.raises(SurfaceliftError, match="len"):
+            len(census)
+    assert census[-1] == census[census.size - 1]
+    assert census[-1].location == ("infinity", "-") and census[-1].a == 3 - m
+    assert census[-3] == census[finite - 1]
+    assert census[-3].location == ("finite", m, 2 ** (m - 1) - 1)
+    assert census[2**70 % finite].location[0] == "finite"
+    assert census[:2] == [census[0], census[1]]
+    assert census[finite - 1 : finite + 5] == [census[-3], census[-2], census[-1]]
+    assert census[-2:] == list(census.noncanonical())
+    for idx in (census.size, -census.size - 1, 2**70 + census.size):
+        with pytest.raises(IndexError):
+            census[idx]
+    assert census[-census.size] == census[0]
 
 
 def test_census_accepts_system():

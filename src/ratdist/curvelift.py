@@ -9,6 +9,16 @@ its conjugate uses -omega.  Restricting f to the parametrization
 (a - omega*t, b + t, 1) turns intersection counting into exact univariate
 root-multiplicity bookkeeping over Q(omega).
 
+The restriction is summed in integers: with a = A/D, b = B/D and
+tau = D*t, the powers of A - omega*tau and B + tau are (re, im) int pairs
+and ints, and each coefficient is divided once at the end.  A crossing of
+two of the lines lies on f exactly when the restriction to either line
+vanishes at the crossing's parameter, so no point of the plane is
+evaluated.  f is rational, so its restriction to a conjugate line is the
+coefficient-wise conjugate of the restriction to the partner line, with
+the same root multiplicities: of a triple's six lines only three are
+restricted and decomposed.
+
 The selection routine picks a triple of base points whose six isotropic
 lines meet the curve transversely at enough points for the double cover
 w^2 = q1*q2*q3 on f = 0 to have the expected ramification; the cover's
@@ -21,6 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .exactnum import (
     ImQuadElement,
@@ -239,23 +250,49 @@ def threshold(d: int) -> Fraction:
 
 
 def substitute_line(curve: PlaneCurve, line: IsotropicLine) -> ImQuadPoly:
-    """Restrict the curve to the line's parametrization (a - s*w*t, b + t, 1)."""
-    k = line.k
-    a = ImQuadElement.from_rational(line.base.x, k)
-    b = ImQuadElement.from_rational(line.base.yc, k)
-    x_lin = ImQuadPoly.from_coeffs([a, -line.direction()], k)
-    y_lin = ImQuadPoly.from_coeffs([b, ImQuadElement.from_rational(1, k)], k)
-    one = ImQuadPoly.constant(1, k)
-    d = curve.degree
-    x_pow = [one]
-    y_pow = [one]
-    for _ in range(d):
-        x_pow.append(x_pow[-1] * x_lin)
-        y_pow.append(y_pow[-1] * y_lin)
-    acc = ImQuadPoly.zero(k)
-    for i, j, _l, c in curve.monomials:
-        acc = acc + (x_pow[i] * y_pow[j]).scale(c)
-    return acc
+    """Restrict the curve to the line's parametrization (a - s*w*t, b + t, 1).
+
+    The sum runs over integers.  Write a = A/D, b = B/D, tau = D*t and put
+    the coefficients c = C/M over their common denominator M; then D^d
+    times a monomial c*x^i*y^j*z^l is (C/M)*D^l*(A - s*w*tau)^i*(B + tau)^j.
+    So M*D^d*f restricted is a polynomial G(tau) over Z[w], kept as
+    (re, im) int pairs, and t^n has coefficient G_n*D^n / (M*D^d).
+    """
+    k, d = line.k, curve.degree
+    a, b = line.base.x, line.base.yc
+    den = lcm(a.denominator, b.denominator)
+    big_a, big_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    m = lcm(*(c.denominator for *_, c in curve.monomials))
+    den_pow = [den**n for n in range(d + 1)]
+    # (B + tau)^j, and per x-degree i the sum of C*D^l*(B + tau)^j over the monomials
+    y_pow = [[comb(j, n) * big_b ** (j - n) for n in range(j + 1)] for j in range(d + 1)]
+    by_i = [[0] * (d + 1 - i) for i in range(d + 1)]
+    for i, j, l, c in curve.monomials:
+        scale = c.numerator * (m // c.denominator) * den_pow[l]
+        row = by_i[i]
+        for n, y in enumerate(y_pow[j]):
+            row[n] += scale * y
+    # (A - s*w*tau)^i has tau^n coefficient comb(i, n)*A^(i-n)*(-s*w)^n, and
+    # w^n = (-k)^(n//2) * w^(n%2): real for even n, a multiple of w for odd n
+    neg_s = 1 if line.conjugate else -1
+    re = [0] * (d + 1)
+    im = [0] * (d + 1)
+    for i, row in enumerate(by_i):
+        if not any(row):
+            continue
+        for n in range(i + 1):
+            x = comb(i, n) * big_a ** (i - n) * neg_s**n * (-k) ** (n // 2)
+            acc = im if n % 2 else re
+            for e, v in enumerate(row):
+                acc[n + e] += x * v
+    scale = m * den_pow[d]
+    return ImQuadPoly.from_coeffs(
+        [
+            ImQuadElement(Fraction(re[n] * den_pow[n], scale), Fraction(im[n] * den_pow[n], scale), k)
+            for n in range(d + 1)
+        ],
+        k,
+    )
 
 
 @dataclass(frozen=True)
@@ -285,11 +322,26 @@ def transversality_report(
     p = substitute_line(curve, line)
     if p.is_zero():
         raise LineIsComponentError("line is a component of the curve")
-    decomp = squarefree_decomposition(p)
+    return _report(curve.degree, line, p, _root_multiplicities(p), exclusions)
+
+
+def _root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
+    # (multiplicity, number of roots) pairs of a nonzero polynomial, by Yun
     by_mult: dict[int, int] = {}
-    for factor, mult in decomp:
+    for factor, mult in squarefree_decomposition(p):
         by_mult[mult] = by_mult.get(mult, 0) + factor.degree
-    simple = by_mult.get(1, 0)
+    return tuple(sorted(by_mult.items()))
+
+
+def _report(
+    degree: int,
+    line: IsotropicLine,
+    p: ImQuadPoly,
+    multiplicities: tuple[tuple[int, int], ...],
+    exclusions: tuple,
+) -> TransversalityReport:
+    # p is the curve restricted to the line, multiplicities its root counts
+    simple = dict(multiplicities).get(1, 0)
     if simple and exclusions:
         dp = p.derivative()
         seen: set = set()
@@ -302,9 +354,9 @@ def transversality_report(
                 simple -= 1
     return TransversalityReport(
         simple_roots=simple,
-        multiplicities=tuple(sorted(by_mult.items())),
-        degree_drop=curve.degree - p.degree,
-        mu_lower_bound=min(curve.degree - p.degree, 1),
+        multiplicities=multiplicities,
+        degree_drop=degree - p.degree,
+        mu_lower_bound=min(degree - p.degree, 1),
     )
 
 
@@ -383,19 +435,40 @@ def six_lines(
     return tuple(out)
 
 
+def _restrict_six(
+    curve: PlaneCurve, triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int
+) -> tuple[tuple[IsotropicLine, ...], list[ImQuadPoly], list, list[list]]:
+    """The six lines of the triple with, per line, the curve's restriction,
+    its root multiplicities (None when the line lies in the curve) and the
+    points on the curve that the line shares with another of the six.
+
+    The curve is rational, so its restriction to a conjugate line is the
+    coefficient-wise conjugate of the restriction to the partner line, with
+    the same root multiplicities: only three lines are restricted.
+    """
+    lines = six_lines(triple, k)
+    polys: list[ImQuadPoly] = []
+    mults: list = []
+    for line in lines[::2]:
+        p = substitute_line(curve, line)
+        m = None if p.is_zero() else _root_multiplicities(p)
+        polys += [p, p.conjugate_coeffs()]
+        mults += [m, m]
+    return lines, polys, mults, _shared_curve_points(lines, polys)
+
+
 def _shared_curve_points(
-    curve: PlaneCurve, lines: tuple[IsotropicLine, ...]
+    lines: tuple[IsotropicLine, ...], polys: list[ImQuadPoly]
 ) -> list[list[tuple[ImQuadElement, ImQuadElement]]]:
     # Per line: affine points shared with another line that also lie on the
-    # curve.  Same-family pairs only meet at infinity and are skipped.
-    k = lines[0].k
-    one = ImQuadElement.from_rational(1, k)
+    # curve.  Same-family pairs only meet at infinity and are skipped.  A
+    # crossing (x0, y0) sits on line i at t0, so f(x0, y0, 1) = polys[i](t0).
     shared: list[list[tuple[ImQuadElement, ImQuadElement]]] = [[] for _ in lines]
     for i, j in itertools.combinations(range(len(lines)), 2):
         if lines[i].conjugate == lines[j].conjugate:
             continue
         x0, y0 = line_intersection(lines[i], lines[j])
-        if curve.evaluate(x0, y0, one).is_zero():
+        if polys[i].evaluate(lines[i].parameter_of(x0, y0)).is_zero():
             shared[i].append((x0, y0))
             shared[j].append((x0, y0))
     return shared
@@ -409,11 +482,12 @@ def count_transverse_union(
     Points on two of the six lines are excluded (the union is singular
     there, so the intersection with the curve cannot be transverse).
     """
-    lines = six_lines(triple, k)
-    shared = _shared_curve_points(curve, lines)
+    lines, polys, mults, shared = _restrict_six(curve, triple, k)
+    if None in mults:
+        raise LineIsComponentError("line is a component of the curve")
     reports = tuple(
-        transversality_report(curve, line, exclusions=tuple(shared[i]))
-        for i, line in enumerate(lines)
+        _report(curve.degree, line, p, m, tuple(points))
+        for line, p, m, points in zip(lines, polys, mults, shared)
     )
     return sum(r.simple_roots for r in reports), reports
 
@@ -615,19 +689,12 @@ def build_double_cover(
         sextic = _poly_mul(sextic, quadric_polynomial(p, k))
     sextic_mono = tuple(sorted((i, j, l, c) for (i, j, l), c in sextic.items()))
 
-    lines = six_lines(triple, k)
     exact = smooth_curve is True or d == 1
     if exact:
-        substituted = [substitute_line(curve, line) for line in lines]
-        exact = all(not p.is_zero() and p.degree == d for p in substituted)
+        _lines, polys, mults, shared = _restrict_six(curve, triple, k)
+        exact = None not in mults and all(p.degree == d for p in polys) and not any(shared)
     if exact:
-        exact = not any(_shared_curve_points(curve, lines))
-    r_exact = 0
-    if exact:
-        for p in substituted:
-            for factor, mult in squarefree_decomposition(p):
-                if mult % 2 == 1:
-                    r_exact += factor.degree
+        r_exact = sum(n for m in mults for mult, n in m if mult % 2 == 1)
         if r_exact % 2 == 1 or not 6 <= r_exact <= 6 * d:
             exact = False
 

@@ -40,6 +40,7 @@ from .planeset import (
     embed_from_distances,
     integer_lattice,
     squared_numerators,
+    verify_rds,
 )
 
 
@@ -119,11 +120,29 @@ class SearchCheckpoint:
     @classmethod
     def from_dict(cls, d: dict) -> "SearchCheckpoint":
         # a "frontier" key, written by older versions, is ignored
+        spec = SearchSpec.from_dict(d["spec"])
+        found = tuple(Configuration.from_dict(c) for c in d["found"])
+        for i, c in enumerate(found):
+            _check_found(spec, c, i)
         return cls(
-            SearchSpec.from_dict(d["spec"]),
-            tuple(Configuration.from_dict(c) for c in d["found"]),
+            spec,
+            found,
             tuple((parse_int(lo), parse_int(hi)) for lo, hi in d["exhausted_ranges"]),
         )
+
+
+def _check_found(spec: SearchSpec, c: Configuration, index: int) -> None:
+    # A decoded class must be one this spec's search can return.  Collinear
+    # classes embed with k = 1 whatever the spec's k.  The canonical form is
+    # not recomputed: a resumed search would pay a full embedding per class.
+    if c.n != spec.target_size:
+        raise SearchgenError(f"found class {index} has {c.n} points, target size is {spec.target_size}")
+    if c.k != spec.k and not (c.k == 1 and all(p.yc == 0 for p in c.points)):
+        raise SearchgenError(f"found class {index} has k={c.k}, the spec has k={spec.k}")
+    if not verify_rds(c).is_rds:
+        raise SearchgenError(f"found class {index} is not a rational distance set")
+    if not _satisfies(c, spec.require):
+        raise SearchgenError(f"found class {index} fails the requirement {spec.require.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,26 @@ def test_search_resume_with_ranges_outside_the_grid_is_usage_error(tmp_path, ran
     assert "outside the 9 grid cells" in result["diagnostics"][0]["message"]
 
 
+RESUME_SPEC = {"k": 2, "numerator_bound": 4, "denominator_bound": 1, "target_size": 3}
+
+
+@pytest.mark.parametrize(
+    "k, points, message",
+    [
+        (1, [(0, 0), (1, 0), (0, 1)], "has k=1, the spec has k=2"),  # the k=1 triangle
+        (2, [(0, 0), (1, 0), (0, 1)], "not a rational distance set"),  # a side is sqrt(2)
+        (2, [(0, 0), (1, 0)], "has 2 points, target size is 3"),
+    ],
+)
+def test_search_resume_rejects_found_classes_the_spec_cannot_return(tmp_path, k, points, message):
+    found = json.loads(config_json(k, points))
+    resume_file = tmp_path / "cp.json"
+    resume_file.write_text(json.dumps({"spec": RESUME_SPEC, "found": [found], "exhausted_ranges": []}))
+    result, code = run(["search", "--resume", str(resume_file)])
+    _single_error(result, code)
+    assert message in result["diagnostics"][0]["message"]
+
+
 NOT_RDS = {
     "status": "violation",
     "payload": {},

@@ -1,11 +1,12 @@
 """Tests for isotropic-line transversality and the double cover."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdist.exactnum import ImQuadElement, omega
+from ratdist.exactnum import ImQuadElement, ImQuadPoly, omega, squarefree_decomposition
 from ratdist.curvelift import (
     CurveliftError,
     HypothesisViolationError,
@@ -24,6 +25,10 @@ from ratdist.curvelift import (
     point_is_smooth,
     quadric_polynomial,
     reflection_across_line,
+    _poly_mul,
+    _poly_norm,
+    _restrict_six,
+    _shared_curve_points,
     six_lines,
     substitute_line,
     threshold,
@@ -376,3 +381,201 @@ def test_cover_json_shape():
     payload = build_double_cover(X_AXIS, sel).to_dict()
     assert payload["r"] == 6 and payload["genus"] == 2
     assert payload["cover_relation"].startswith("w^2 = ")
+
+
+# ---------------------------------------------------------------------------
+# integer restriction and crossings against the Fraction oracles
+
+
+def oracle_substitute_line(curve: PlaneCurve, line: IsotropicLine) -> ImQuadPoly:
+    """Fraction arithmetic: powers of the parametrization, one product per monomial."""
+    k = line.k
+    a = ImQuadElement.from_rational(line.base.x, k)
+    b = ImQuadElement.from_rational(line.base.yc, k)
+    x_lin = ImQuadPoly.from_coeffs([a, -line.direction()], k)
+    y_lin = ImQuadPoly.from_coeffs([b, ImQuadElement.from_rational(1, k)], k)
+    one = ImQuadPoly.constant(1, k)
+    x_pow = [one]
+    y_pow = [one]
+    for _ in range(curve.degree):
+        x_pow.append(x_pow[-1] * x_lin)
+        y_pow.append(y_pow[-1] * y_lin)
+    acc = ImQuadPoly.zero(k)
+    for i, j, _l, c in curve.monomials:
+        acc = acc + (x_pow[i] * y_pow[j]).scale(c)
+    return acc
+
+
+def oracle_shared_curve_points(curve: PlaneCurve, lines) -> list[list]:
+    """Mixed-family crossings of the lines, each tested by evaluating the curve."""
+    one = ImQuadElement.from_rational(1, lines[0].k)
+    shared: list[list] = [[] for _ in lines]
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        if lines[i].conjugate == lines[j].conjugate:
+            continue
+        x0, y0 = line_intersection(lines[i], lines[j])
+        if curve.evaluate(x0, y0, one).is_zero():
+            shared[i].append((x0, y0))
+            shared[j].append((x0, y0))
+    return shared
+
+
+def oracle_transverse_union(curve: PlaneCurve, triple, k: int):
+    """Every one of the six lines restricted on its own, crossings by evaluation."""
+    lines = six_lines(triple, k)
+    shared = oracle_shared_curve_points(curve, lines)
+    reports = tuple(
+        transversality_report(curve, line, exclusions=tuple(shared[i]))
+        for i, line in enumerate(lines)
+    )
+    return sum(r.simple_roots for r in reports), reports
+
+
+def oracle_cover_r(curve: PlaneCurve, triple, k: int) -> int | None:
+    """Exact ramification count of the cover of a smooth curve, None when not certifiable."""
+    d = curve.degree
+    lines = six_lines(triple, k)
+    polys = [oracle_substitute_line(curve, line) for line in lines]
+    if any(p.is_zero() or p.degree != d for p in polys):
+        return None
+    if any(oracle_shared_curve_points(curve, lines)):
+        return None
+    r = sum(f.degree for p in polys for f, m in squarefree_decomposition(p) if m % 2 == 1)
+    return r if r % 2 == 0 and 6 <= r <= 6 * d else None
+
+
+def _bisector(p: LatticePoint, q: LatticePoint, k: int) -> dict:
+    # points equidistant from p and q in dx^2 + k*dy^2; it holds the
+    # crossings of the line of p with the conjugate line of q and vice versa
+    return {
+        (1, 0, 0): 2 * (q.x - p.x),
+        (0, 1, 0): 2 * k * (q.yc - p.yc),
+        (0, 0, 1): p.x**2 - q.x**2 + k * (p.yc**2 - q.yc**2),
+    }
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 7]))
+POINTS = st.builds(LatticePoint, RATIONALS, RATIONALS)
+
+
+@st.composite
+def forms(draw, d: int) -> dict:
+    """A nonzero homogeneous form of degree d with rational coefficients."""
+    out = {
+        (i, j, d - i - j): c
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+        if (c := draw(st.one_of(st.just(F(0)), RATIONALS))) != 0
+    }
+    return out or {(0, 0, d): F(1)}
+
+
+EXTRA_DEGREE = {"dense": 0, "base point": 0, "bisector": 1, "infinity": 1, "isotropic": 2, "circular point": 2}
+
+
+def shaped_curve(shape: str, g: dict, h: dict, triple, k: int) -> PlaneCurve:
+    """Curve of degree deg(g) + EXTRA_DEGREE[shape], built so that one
+    special case of the restriction shows.
+
+    "dense": g itself.  "base point": through the triple's first point,
+    where its two lines cross.  "bisector": through the crossings of the
+    first two points' mixed-family lines.  "isotropic": contains both lines
+    of the first point.  "infinity": contains the line at infinity, so every
+    restriction drops degree.  "circular point": (x^2 + k*y^2)*g + z*h, with
+    deg h = deg g + 1, passes through the circular points.
+    """
+    p, q = triple[0], triple[1]
+    z = {(0, 0, 1): F(1)}
+    if shape == "dense":
+        f = g
+    elif shape == "base point":
+        value = PlaneCurve.from_coeffs(g).evaluate(p.x, p.yc, F(1))
+        f = _poly_norm([*g.items(), ((0, 0, sum(next(iter(g)))), -value)])
+    elif shape == "bisector":
+        f = _poly_mul(g, _bisector(p, q, k))
+    elif shape == "isotropic":
+        f = _poly_mul(g, quadric_polynomial(p, k))
+    elif shape == "infinity":
+        f = _poly_mul(g, z)
+    else:
+        top = _poly_mul(g, {(2, 0, 0): F(1), (0, 2, 0): F(k)})
+        f = _poly_norm([*top.items(), *_poly_mul(h, z).items()])
+    if not f:  # "base point" on g = c*z^d: take (x - a*z)*z^(d-1)
+        d = sum(next(iter(g)))
+        f = {(1, 0, d - 1): F(1), (0, 0, d): -p.x}
+    return PlaneCurve.from_coeffs(f)
+
+
+@st.composite
+def curve_cases(draw):
+    """(curve, triple, k): degree 1..8, denominators everywhere, every shape."""
+    k = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    triple = tuple(draw(st.lists(POINTS, min_size=3, max_size=3, unique=True)))
+    shape = draw(st.sampled_from(sorted(EXTRA_DEGREE)))
+    extra = EXTRA_DEGREE[shape]
+    d = draw(st.integers(max(1, extra), 8))
+    g = draw(forms(d - extra))
+    h = draw(forms(d - extra + 1)) if shape == "circular point" else {}
+    return shaped_curve(shape, g, h, triple, k), triple, k
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LineIsComponentError:
+        return LineIsComponentError
+
+
+def test_shaped_curves_show_their_special_case():
+    k, triple = 2, (pt(F(1, 2), 1), pt(-1, F(2, 3)), pt(3, -2))
+    g = {(1, 0, 0): F(1), (0, 1, 0): F(-2, 5), (0, 0, 1): F(3)}
+    h = {(0, 2, 0): F(1), (1, 0, 1): F(7, 3)}
+    lines = six_lines(triple, k)
+
+    curve = shaped_curve("base point", g, h, triple, k)
+    assert curve.contains(triple[0])
+    assert oracle_shared_curve_points(curve, lines)[0]
+    curve = shaped_curve("bisector", g, h, triple, k)
+    shared = oracle_shared_curve_points(curve, lines)
+    assert shared[0] and shared[3]
+    curve = shaped_curve("isotropic", g, h, triple, k)
+    assert substitute_line(curve, lines[0]).is_zero()
+    assert substitute_line(curve, lines[1]).is_zero()
+    with pytest.raises(LineIsComponentError):
+        count_transverse_union(curve, triple, k)
+    for shape in ("infinity", "circular point"):
+        curve = shaped_curve(shape, g, h, triple, k)
+        assert all(r.degree_drop >= 1 for r in count_transverse_union(curve, triple, k)[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_cases(), st.integers(0, 2), st.booleans())
+def test_substitute_line_matches_fraction_oracle(case, which, conjugate):
+    curve, triple, k = case
+    line = IsotropicLine(triple[which], k, conjugate)
+    assert substitute_line(curve, line) == oracle_substitute_line(curve, line)
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve_cases())
+def test_six_lines_match_oracles(case):
+    curve, triple, k = case
+    lines, polys, mults, shared = _restrict_six(curve, triple, k)
+    oracle_polys = [oracle_substitute_line(curve, line) for line in lines]
+    assert polys == oracle_polys
+    assert shared == oracle_shared_curve_points(curve, lines)
+    assert _shared_curve_points(lines, oracle_polys) == shared
+
+    got = _outcome(count_transverse_union, curve, triple, k)
+    assert got == _outcome(oracle_transverse_union, curve, triple, k)
+    if got is not LineIsComponentError:
+        reports = got[1]
+        for line_report, conjugate_report in zip(reports[::2], reports[1::2]):
+            assert line_report.multiplicities == conjugate_report.multiplicities
+            assert line_report.degree_drop == conjugate_report.degree_drop
+
+    if curve.degree != 2:
+        cover = build_double_cover(curve, triple, k=k, smooth_curve=True)
+        r = oracle_cover_r(curve, triple, k)
+        assert cover.exact == (r is not None)
+        assert cover.r == (r if cover.exact else (6, 6 * curve.degree))

@@ -299,6 +299,48 @@ def test_search_checkpoint_spec_mismatch():
         search(DESK, checkpoint=part)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(k=1, numerator_bound=4, denominator_bound=1, target_size=3),
+        SearchSpec(k=1, numerator_bound=3, denominator_bound=2, target_size=3),
+        SearchSpec(k=1, numerator_bound=4, denominator_bound=1, target_size=3, require=Requirement.STRONG),
+        SearchSpec(k=2, numerator_bound=4, denominator_bound=1, target_size=3),
+        SearchSpec(k=7, numerator_bound=4, denominator_bound=1, target_size=3),
+    ],
+)
+def test_checkpoint_found_classes_round_trip(spec):
+    done = search(spec)
+    assert done.found
+    if spec.k != 1:  # collinear classes come back with k = 1
+        assert {c.k for c in done.found} == {1, spec.k}
+    assert SearchCheckpoint.from_dict(json.loads(json.dumps(done.to_dict()))) == done
+
+
+TRIANGLE = Configuration(1, (LatticePoint(F(0), F(0)), LatticePoint(F(1), F(0)), LatticePoint(F(0), F(1))))
+RIGHT_345 = Configuration(1, (LatticePoint(F(0), F(0)), LatticePoint(F(3), F(0)), LatticePoint(F(0), F(4))))
+
+
+@pytest.mark.parametrize(
+    "spec, found, message",
+    [
+        # the k=1 triangle (its diagonal is sqrt(2)) under a k=2 spec
+        (SearchSpec(k=2, numerator_bound=4, denominator_bound=1, target_size=3), TRIANGLE, "has k=1"),
+        (SearchSpec(k=1, numerator_bound=4, denominator_bound=1, target_size=3), TRIANGLE, "not a rational"),
+        (SearchSpec(k=1, numerator_bound=4, denominator_bound=1, target_size=4), RIGHT_345, "3 points"),
+        (
+            SearchSpec(k=1, numerator_bound=4, denominator_bound=1, target_size=3, require=Requirement.STRONG),
+            generate_line_rds(3, [0, 1, 2]),
+            "fails the requirement",
+        ),
+    ],
+)
+def test_checkpoint_rejects_found_classes_the_spec_cannot_return(spec, found, message):
+    blob = SearchCheckpoint(spec, (found,), ()).to_dict()
+    with pytest.raises(SearchgenError, match=message):
+        SearchCheckpoint.from_dict(blob)
+
+
 NINE_CELLS = SearchSpec(k=1, numerator_bound=1, denominator_bound=1, target_size=3)
 
 

@@ -461,17 +461,26 @@ def _shared_curve_points(
     lines: tuple[IsotropicLine, ...], polys: list[ImQuadPoly]
 ) -> list[list[tuple[ImQuadElement, ImQuadElement]]]:
     # Per line: affine points shared with another line that also lie on the
-    # curve.  Same-family pairs only meet at infinity and are skipped.  A
-    # crossing (x0, y0) sits on line i at t0, so f(x0, y0, 1) = polys[i](t0).
+    # curve.  Same-family pairs only meet at infinity and are skipped.
     shared: list[list[tuple[ImQuadElement, ImQuadElement]]] = [[] for _ in lines]
     for i, j in itertools.combinations(range(len(lines)), 2):
         if lines[i].conjugate == lines[j].conjugate:
             continue
-        x0, y0 = line_intersection(lines[i], lines[j])
-        if polys[i].evaluate(lines[i].parameter_of(x0, y0)).is_zero():
-            shared[i].append((x0, y0))
-            shared[j].append((x0, y0))
+        point = _crossing_on_curve(lines[i], polys[i], lines[j])
+        if point is not None:
+            shared[i].append(point)
+            shared[j].append(point)
     return shared
+
+
+def _crossing_on_curve(
+    line: IsotropicLine, restriction: ImQuadPoly, other: IsotropicLine
+) -> tuple[ImQuadElement, ImQuadElement] | None:
+    # The crossing of two lines of opposite families when it lies on the
+    # curve, None otherwise.  The crossing (x0, y0) sits on ``line`` at t0,
+    # so f(x0, y0, 1) is the curve's restriction to ``line`` at t0.
+    x0, y0 = line_intersection(line, other)
+    return (x0, y0) if restriction.evaluate(line.parameter_of(x0, y0)).is_zero() else None
 
 
 def count_transverse_union(
@@ -492,35 +501,20 @@ def count_transverse_union(
     return sum(r.simple_roots for r in reports), reports
 
 
-def _cross_clear(curve: PlaneCurve, a: LatticePoint, b: LatticePoint, k: int) -> bool:
-    # True when neither mixed-family intersection of the lines of a and b
-    # lands on the curve.
-    one = ImQuadElement.from_rational(1, k)
-    for l1, l2 in (
-        (IsotropicLine(a, k), IsotropicLine(b, k, conjugate=True)),
-        (IsotropicLine(b, k), IsotropicLine(a, k, conjugate=True)),
-    ):
-        x0, y0 = line_intersection(l1, l2)
-        if curve.evaluate(x0, y0, one).is_zero():
-            return False
-    return True
-
-
 def choose_transverse_triple(
     curve: PlaneCurve, candidates: Configuration
 ) -> TripleSelection:
     """Greedy selection of three base points with certified transversality.
 
-    Degree 1 picks points off the curve and skips earlier picks and their
-    reflections; degree >= 3 restricts to on-curve points whose own line is
-    simple everywhere and minimally tangent at the circular point, then
-    keeps the pairwise line crossings off the curve.  The returned count is
-    re-verified on all six lines with mutual exclusions, so a returned
-    selection is sound independently of the greedy heuristics.
+    Degree 1 picks points off the curve and skips the reflections of
+    earlier picks (the line at infinity has none).  Degree >= 3 keeps the
+    on-curve points whose line's restriction has only simple roots and the
+    least degree drop, then skips a point when a crossing of its lines with
+    an earlier pick's lies on the curve, read off those restrictions.  The
+    returned count is re-verified on all six lines with mutual exclusions,
+    so a returned selection is sound independently of the greedy heuristics.
     """
     d = curve.degree
-    if d == 2:
-        raise UseInversionFirstError("degree 2: use inversion first (planeset.invert)")
     k = candidates.k
     need = threshold(d)
     transcript: list[dict] = []
@@ -544,18 +538,12 @@ def choose_transverse_triple(
         for p in pool:
             if len(chosen) == 3:
                 break
+            if p in excluded:
+                transcript.append({"step": "skip", "point": p.to_dict()})
+                continue
+            chosen.append(p)
             if use_reflections:
-                if p in excluded:
-                    transcript.append({"step": "skip", "point": p.to_dict()})
-                    continue
-                chosen.append(p)
-                excluded.add(p)
                 excluded.add(reflection_across_line(p, curve, k))
-            else:
-                if p in chosen or not all(_cross_clear(curve, c, p, k) for c in chosen):
-                    transcript.append({"step": "skip", "point": p.to_dict()})
-                    continue
-                chosen.append(p)
             transcript.append({"step": "pick", "point": p.to_dict()})
         if len(chosen) < 3:
             raise HypothesisViolationError(
@@ -568,34 +556,39 @@ def choose_transverse_triple(
             raise ThresholdError(
                 f"need at least {need} points on the curve, have {len(pool)}"
             )
-        good: list[LatticePoint] = []
-        drops: dict[LatticePoint, int] = {}
+        restricted: dict[LatticePoint, ImQuadPoly] = {}
         for p in pool:
-            try:
-                report = transversality_report(curve, IsotropicLine(p, k))
-            except LineIsComponentError:
+            restriction = substitute_line(curve, IsotropicLine(p, k))
+            if restriction.is_zero():
                 transcript.append({"step": "reject", "point": p.to_dict(), "reason": "line in curve"})
                 continue
-            if any(mult > 1 for mult, _ in report.multiplicities):
+            if any(mult > 1 for mult, _ in _root_multiplicities(restriction)):
                 transcript.append(
                     {"step": "reject", "point": p.to_dict(), "reason": "multiple root"}
                 )
                 continue
-            good.append(p)
-            drops[p] = report.degree_drop
-        if not good:
+            restricted[p] = restriction
+        if not restricted:
             raise HypothesisViolationError(
                 "hypothesis violation: no candidate line meets the curve simply",
                 tuple(transcript),
             )
-        mu_est = min(drops[p] for p in good)
-        good = [p for p in good if drops[p] == mu_est]
-        transcript.append({"step": "good-set", "size": len(good), "mu_estimate": mu_est})
+        top = max(r.degree for r in restricted.values())
+        good = [p for p, r in restricted.items() if r.degree == top]
+        transcript.append({"step": "good-set", "size": len(good), "mu_estimate": d - top})
+
+        def crossings_clear(a: LatticePoint, b: LatticePoint) -> bool:
+            # neither mixed-family crossing of the lines of a and b is on the curve
+            return not any(
+                _crossing_on_curve(IsotropicLine(u, k), restricted[u], IsotropicLine(v, k, True))
+                for u, v in ((a, b), (b, a))
+            )
+
         chosen = []
         for p in good:
             if len(chosen) == 3:
                 break
-            if all(_cross_clear(curve, c, p, k) for c in chosen):
+            if all(crossings_clear(c, p) for c in chosen):
                 chosen.append(p)
                 transcript.append({"step": "pick", "point": p.to_dict()})
             else:

@@ -18,17 +18,22 @@ class, so finds are deduplicated on it directly.
 Work is partitioned by the lowest grid index of a clique (its first-point
 cell), which is also the checkpoint granularity: checkpoints record
 exhausted index ranges plus the finds so far, merges are set unions, and
-resuming yields bit-identical results.  Workers share nothing but the
-adjacency; the RDS_THREADS environment variable caps parallelism.
+resuming yields bit-identical results.  With several workers a process
+pool maps the cells in contiguous chunks; results come back in cell order,
+so progress and output do not depend on the worker count.  Workers share
+nothing but the adjacency; the pool never exceeds the CPU count, and the
+RDS_THREADS environment variable caps it further.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .exactnum import is_squarefree, parse_int, rational_sqrt
@@ -347,13 +352,6 @@ def _search_one_cell(
     return out
 
 
-def _run_cells_job(
-    spec: SearchSpec, grid: tuple[LatticePoint, ...], adjacency: list[int], cells: tuple[int, ...]
-) -> list[Configuration]:
-    # module-level so process pools can pickle it
-    return [cfg for cell in cells for cfg in _search_one_cell(spec, grid, adjacency, cell)]
-
-
 def _merge_ranges(cells) -> tuple[tuple[int, int], ...]:
     out: list[list[int]] = []
     for cell in sorted(set(cells)):
@@ -383,8 +381,9 @@ def search(
     Deterministic for a given spec regardless of worker count or where the
     run is split; ``max_cells`` (nonnegative) bounds how many first-point
     cells this call processes so long runs can checkpoint and resume.
-    ``progress`` is an optional callable receiving one dict per processed
-    cell, or per finished worker chunk on the parallel path.
+    ``workers`` (at least 1) is capped by the CPU count, RDS_THREADS and
+    the cells to process.  ``progress`` is an optional callable receiving
+    one dict per processed cell, in cell order, whatever the worker count.
     """
     if spec is None and checkpoint is None:
         raise SearchgenError("either a spec or a checkpoint is required")
@@ -395,6 +394,8 @@ def search(
     assert spec is not None
     if max_cells is not None and max_cells < 0:
         raise SearchgenError(f"max_cells must be nonnegative, got {max_cells}")
+    if workers < 1:
+        raise SearchgenError(f"workers must be at least 1, got {workers}")
 
     grid = grid_points(spec)
     exhausted = _cells_of_ranges(checkpoint.exhausted_ranges) if checkpoint else set()
@@ -419,26 +420,20 @@ def search(
         if cap < 1:
             raise SearchgenError(f"RDS_THREADS must be a positive integer, got {cap}")
         workers = min(workers, cap)
-    workers = max(1, min(workers, len(todo) or 1))
+    workers = min(workers, os.cpu_count() or 1, len(todo) or 1)
 
-    adjacency = _adjacency(grid, spec.k)
-    if workers == 1:
-        for cell in todo:
-            for cfg in _search_one_cell(spec, grid, adjacency, cell):
+    job = partial(_search_one_cell, spec, grid, _adjacency(grid, spec.k))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        # about four contiguous chunks per worker: low cells have the most
+        # higher neighbours, so finer chunks balance the load
+        chunk = -(-len(todo) // (4 * workers))
+        results = pool.map(job, todo, chunksize=chunk) if pool else map(job, todo)
+        for cell, cfgs in zip(todo, results):
+            for cfg in cfgs:
                 absorb(cfg)
             if progress is not None:
                 progress({"event": "cell", "cell": cell, "classes": len(found)})
-    else:
-        chunks = [tuple(todo[i::workers]) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            jobs = {
-                pool.submit(_run_cells_job, spec, grid, adjacency, chunk): chunk for chunk in chunks
-            }
-            for job in as_completed(jobs):
-                for cfg in job.result():
-                    absorb(cfg)
-                if progress is not None:
-                    progress({"event": "chunk", "cells": len(jobs[job]), "classes": len(found)})
 
     return SearchCheckpoint(
         spec=spec,

@@ -206,6 +206,18 @@ def test_search_negative_max_cells_is_usage_error(tmp_path):
     assert "max_cells" in result["diagnostics"][0]["message"]
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_search_workers_below_one_is_usage_error(tmp_path, workers):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(
+        json.dumps({"k": 1, "numerator_bound": 1, "denominator_bound": 1, "target_size": 3})
+    )
+    result, code = run(["search", "--spec", str(spec_file), "--workers", workers])
+    assert code == 2
+    assert result["status"] == "error"
+    assert "workers" in result["diagnostics"][0]["message"]
+
+
 def test_search_progress_stderr(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(

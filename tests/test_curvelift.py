@@ -1,6 +1,7 @@
 """Tests for isotropic-line transversality and the double cover."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -579,3 +580,130 @@ def test_six_lines_match_oracles(case):
         r = oracle_cover_r(curve, triple, k)
         assert cover.exact == (r is not None)
         assert cover.r == (r if cover.exact else (6, 6 * curve.degree))
+
+
+# ---------------------------------------------------------------------------
+# greedy crossing test against the evaluation oracle
+
+
+def oracle_cross_clear(curve: PlaneCurve, a: LatticePoint, b: LatticePoint, k: int) -> bool:
+    """True when neither mixed-family crossing of the lines of a and b
+    lands on the curve, tested by evaluating the curve there."""
+    one = ImQuadElement.from_rational(1, k)
+    for l1, l2 in (
+        (IsotropicLine(a, k), IsotropicLine(b, k, conjugate=True)),
+        (IsotropicLine(b, k), IsotropicLine(a, k, conjugate=True)),
+    ):
+        x0, y0 = line_intersection(l1, l2)
+        if curve.evaluate(x0, y0, one).is_zero():
+            return False
+    return True
+
+
+def oracle_greedy_picks(curve: PlaneCurve, candidates: Configuration):
+    """The degree >= 3 greedy pass: one transversality report per on-curve
+    point, crossings by oracle_cross_clear.  Returns the picks and the
+    transcript up to, not including, the verify step."""
+    k = candidates.k
+    transcript: list[dict] = []
+    drops: dict[LatticePoint, int] = {}
+    for p in candidates.points:
+        if not curve.contains(p):
+            continue
+        try:
+            report = transversality_report(curve, IsotropicLine(p, k))
+        except LineIsComponentError:
+            transcript.append({"step": "reject", "point": p.to_dict(), "reason": "line in curve"})
+            continue
+        if any(mult > 1 for mult, _ in report.multiplicities):
+            transcript.append({"step": "reject", "point": p.to_dict(), "reason": "multiple root"})
+            continue
+        drops[p] = report.degree_drop
+    if not drops:
+        return [], transcript
+    mu = min(drops.values())
+    good = [p for p, drop in drops.items() if drop == mu]
+    transcript.append({"step": "good-set", "size": len(good), "mu_estimate": mu})
+    chosen: list[LatticePoint] = []
+    for p in good:
+        if len(chosen) == 3:
+            break
+        if all(oracle_cross_clear(curve, c, p, k) for c in chosen):
+            chosen.append(p)
+            transcript.append({"step": "pick", "point": p.to_dict()})
+        else:
+            transcript.append({"step": "skip", "point": p.to_dict()})
+    return chosen, transcript
+
+
+PARABOLA = {(0, 1, 1): F(1), (2, 0, 0): F(-1)}  # y z = x^2
+
+
+def test_choose_triple_skips_a_crossing_on_the_curve():
+    # the parabola times the bisector of (0,0) and (1,1): the line of each
+    # crosses the conjugate line of the other on the bisector, so on the curve
+    a, b = pt(0, 0), pt(1, 1)
+    curve = PlaneCurve.from_coeffs(_poly_mul(PARABOLA, _bisector(a, b, 1)))
+    ts = (0, 1, 2, -1, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7)
+    cands = Configuration(1, tuple(pt(t, t * t) for t in ts))
+    assert not oracle_cross_clear(curve, a, b, 1)
+    sel = choose_transverse_triple(curve, cands)
+    assert sel.triple == (a, pt(2, 4), pt(-1, 1))
+    assert [(s["step"], s.get("point")) for s in sel.transcript[1:5]] == [
+        ("pick", a.to_dict()),
+        ("skip", b.to_dict()),
+        ("pick", {"x": "2", "yc": "4"}),
+        ("pick", {"x": "-1", "yc": "1"}),
+    ]
+    assert sel.transverse_points == 12
+
+
+def seeded_curve_case(seed: int) -> tuple[PlaneCurve, Configuration]:
+    """A curve of degree 3..6 with enough rational points for the greedy pass.
+
+    The base is the graph y = p(x), or x = p(y), of a random polynomial.
+    Seeds 1 mod 3 multiply it by the bisector of its first two points, whose
+    lines then cross on the curve; seeds 2 mod 3 by the isotropic pair of one
+    of its points, whose lines then lie in the curve.
+    """
+    rng = random.Random(seed)
+    k = rng.choice([1, 2, 3, 7])
+    d = rng.randint(3, 6)
+    m = d - (0, 1, 2)[seed % 3]
+    coeffs = [F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(m)]
+    coeffs.append(F(rng.choice([1, -2, 3]), rng.choice([1, 2])))
+    graph = {(0, 1, m - 1): F(1), **{(i, 0, m - i): -c for i, c in enumerate(coeffs) if c}}
+    need = int(threshold(d)) + 3
+    ts = rng.sample(sorted({F(a, b) for b in (1, 2, 3) for a in range(-25, 26)}), need)
+    pts = [LatticePoint(t, sum(c * t**i for i, c in enumerate(coeffs))) for t in ts]
+    if rng.random() < 0.5:
+        graph = {(j, i, l): c for (i, j, l), c in graph.items()}
+        pts = [LatticePoint(p.yc, p.x) for p in pts]
+    if seed % 3 == 1:
+        graph = _poly_mul(graph, _bisector(pts[0], pts[1], k))
+    elif seed % 3 == 2:
+        graph = _poly_mul(graph, quadric_polynomial(pts[rng.randrange(4)], k))
+    return PlaneCurve.from_coeffs(graph), Configuration(k, tuple(pts))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_choose_triple_matches_evaluation_oracle(seed):
+    curve, cands = seeded_curve_case(seed)
+    chosen, expected = oracle_greedy_picks(curve, cands)
+    try:
+        sel = choose_transverse_triple(curve, cands)
+    except HypothesisViolationError as err:
+        assert len(chosen) < 3 or "transverse points" in str(err)
+        transcript = err.transcript
+    else:
+        assert sel.triple == tuple(chosen)
+        transcript = sel.transcript
+    if len(chosen) == 3:
+        count = oracle_transverse_union(curve, tuple(chosen), cands.k)[0]
+        required = max(3 * (curve.degree - 2), 6)
+        expected.append({"step": "verify", "transverse_points": count, "required": required})
+    assert transcript == tuple(expected)
+    if seed % 3 == 1:
+        assert any(s["step"] == "skip" for s in transcript)
+    if seed % 3 == 2:
+        assert any(s.get("reason") == "line in curve" for s in transcript)

@@ -386,12 +386,66 @@ def test_search_progress_events():
     assert all(e["event"] == "cell" for e in events)
 
 
-def test_search_parallel_progress_counts_cells():
-    events = []
-    result = search(TINY, workers=2, max_cells=19, progress=events.append)
-    assert [e["event"] for e in events] == ["chunk", "chunk"]
-    assert sum(e["cells"] for e in events) == 19
-    assert events[-1]["classes"] == len(result.found)
+def test_search_parallel_progress_matches_serial(monkeypatch):
+    # one "cell" event per cell, in cell order, whatever the worker count;
+    # two CPUs are reported so that the pool runs even on a one-CPU host
+    monkeypatch.setattr(searchgen.os, "cpu_count", lambda: 2)
+    serial, parallel = [], []
+    search(TINY, max_cells=19, progress=serial.append)
+    result = search(TINY, workers=2, max_cells=19, progress=parallel.append)
+    assert parallel == serial
+    assert [e["cell"] for e in parallel] == list(range(19))
+    assert parallel[-1]["classes"] == len(result.found)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, cells, chunksize=1):
+        assert chunksize >= 1
+        return map(fn, cells)
+
+
+@pytest.mark.parametrize(
+    "cpus, env, workers, max_cells, pool_size",
+    [
+        (2, None, 1000, None, 2),
+        (8, None, 1000, 3, 3),
+        (8, "5", 1000, None, 5),
+        (8, None, 4, None, 4),
+        (None, None, 4, None, None),
+        (8, None, 1, None, None),
+        (8, None, 4, 1, None),
+    ],
+)
+def test_search_pool_size_is_capped(monkeypatch, cpus, env, workers, max_cells, pool_size):
+    RecordingPool.sizes = []
+    monkeypatch.setattr(searchgen, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(searchgen.os, "cpu_count", lambda: cpus)
+    if env is None:
+        monkeypatch.delenv("RDS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RDS_THREADS", env)
+    result = search(TINY, workers=workers, max_cells=max_cells)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert result == search(TINY, max_cells=max_cells)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_search_rejects_workers_below_one(workers):
+    with pytest.raises(SearchgenError, match="workers must be at least 1"):
+        search(TINY, workers=workers)
 
 
 def test_search_rejects_negative_max_cells():

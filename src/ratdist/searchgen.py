@@ -12,8 +12,11 @@ bitset recursion (Bron & Kerbosch, CACM 1973).
 Complete sets are filtered by the requested general-position predicate and
 mapped to a canonical representative of their similarity class (first two
 points at (0,0) and (1,0), lexicographically minimal point order, reflection
-resolved by the embedding's sign rule).  The canonical form determines the
-class, so finds are deduplicated on it directly.
+resolved by the sign rule of ``embed_from_distances``).  The representative
+is read off the winning similarity in integer coordinates, with no
+embedding; one ``isqrt`` per pair re-checks that the set is an RDS.  The
+canonical form determines the class, so finds are deduplicated on it
+directly.
 
 Work is partitioned by the lowest grid index of a clique (its first-point
 cell), which is also the checkpoint granularity: checkpoints record
@@ -34,17 +37,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 
 from .exactnum import is_squarefree, parse_int, rational_sqrt
 from .planeset import (
     Configuration,
-    DistanceMatrix,
     LatticePoint,
+    NotRdsMatrixError,
     audit_general_position,
-    embed_from_distances,
     integer_lattice,
-    squared_numerators,
     verify_rds,
 )
 
@@ -138,8 +139,8 @@ class SearchCheckpoint:
 
 def _check_found(spec: SearchSpec, c: Configuration, index: int) -> None:
     # A decoded class must be one this spec's search can return.  Collinear
-    # classes embed with k = 1 whatever the spec's k.  The canonical form is
-    # not recomputed: a resumed search would pay a full embedding per class.
+    # classes come back with k = 1 whatever the spec's k.  The canonical form
+    # is not recomputed here.
     if c.n != spec.target_size:
         raise SearchgenError(f"found class {index} has {c.n} points, target size is {spec.target_size}")
     if c.k != spec.k and not (c.k == 1 and all(p.yc == 0 for p in c.points)):
@@ -256,13 +257,15 @@ def _precedes(
 def canonical_form(c: Configuration) -> Configuration:
     """Lexicographically minimal normalized representative of a similarity class.
 
-    Minimizes the embedded point tuple over all orderings of the points.
+    Minimizes the normalized point tuple over all orderings of the points.
     The first two points of an ordering fix the similarity that sends them
     to (0,0) and (1,0); it is computed in integer coordinates, so for each
     ordered anchor pair and each reflection the best order of the remaining
-    points is their sorted order, adjusted for the embedding's sign rule,
-    in O(n^3 log n) steps overall.  The winner is embedded once, which
-    re-verifies that the input is a planar RDS.
+    points is their sorted order, adjusted for the sign rule of
+    ``embed_from_distances``, in O(n^3 log n) steps overall.  The winning
+    similarity's integer image is the result, with k = 1 when every point
+    lands on the x-axis; nothing is embedded.  Every pair is re-checked with
+    one ``isqrt``, raising ``NotRdsMatrixError`` unless the input is an RDS.
     """
     if c.n < 2:
         raise SearchgenError("canonical form needs at least two points")
@@ -288,10 +291,26 @@ def canonical_form(c: Configuration) -> Configuration:
                 if cand is not None and (best is None or _precedes(cand, den, best, best_den)):
                     best, best_den = cand, den
                     best_perm = (a, b, *(i for _, _, i in cand))
-    # squared distances times L^2: the embedding rescales by entry (0,1)
-    # anyway, and an integer is a rational square iff it is a perfect square
-    _, entries = squared_numerators(tuple(c.points[i] for i in best_perm), k)
-    return embed_from_distances(DistanceMatrix(entries), provenance="canonical")
+    assert best is not None
+    ordered = [pts[i] for i in best_perm]
+    for i, (x, y) in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            # squared distance times L^2: a rational square iff a perfect square
+            sq = (ordered[j][0] - x) ** 2 + k * (ordered[j][1] - y) ** 2
+            if isqrt(sq) ** 2 != sq:
+                raise NotRdsMatrixError(
+                    f"not an RDS matrix: entry ({i},{j}) = {sq} is not a rational square"
+                )
+    zero, one = Fraction(0), Fraction(1)
+    return Configuration(
+        k if any(y for _, y, _ in best) else 1,
+        (
+            LatticePoint(zero, zero),
+            LatticePoint(one, zero),
+            *(LatticePoint(Fraction(x, best_den), Fraction(y, best_den)) for x, y, _ in best),
+        ),
+        provenance="canonical",
+    )
 
 
 def _config_sort_key(c: Configuration) -> tuple:

@@ -18,8 +18,10 @@ from ratdist.planeset import (
     audit_general_position,
     distance_matrix,
     embed_from_distances,
+    integer_lattice,
     invert,
     squared_distance,
+    squared_numerators,
     verify_rds,
 )
 from ratdist.searchgen import (
@@ -27,6 +29,8 @@ from ratdist.searchgen import (
     SearchCheckpoint,
     SearchSpec,
     SearchgenError,
+    _admissible_order,
+    _precedes,
     canonical_form,
     generate_circle_rds,
     generate_line_rds,
@@ -52,6 +56,37 @@ def brute_canonical_form(c: Configuration) -> Configuration:
             best, best_key = cand, key
     assert best is not None
     return best
+
+
+def oracle_canonical_form(c: Configuration) -> Configuration:
+    """Oracle: the O(n^3 log n) search of ``canonical_form``, with the winning
+    order realized by one Fraction ``embed_from_distances`` call instead of
+    being read off the integer similarity."""
+    if c.n < 2:
+        raise SearchgenError("canonical form needs at least two points")
+    k = c.k
+    _, pts = integer_lattice(c.points)
+    best_perm: tuple[int, ...] = ()
+    best = None
+    best_den = 1
+    for a, (ax, ay) in enumerate(pts):
+        for b, (bx, by) in enumerate(pts):
+            if b == a:
+                continue
+            ux, uy = bx - ax, by - ay
+            den = ux * ux + k * uy * uy
+            rest = []
+            for i, (x, y) in enumerate(pts):
+                if i != a and i != b:
+                    dx, dy = x - ax, y - ay
+                    rest.append((dx * ux + k * dy * uy, dy * ux - dx * uy, i))
+            for mirrored in (rest, [(x, -y, i) for x, y, i in rest]):
+                cand = _admissible_order(sorted(mirrored))
+                if cand is not None and (best is None or _precedes(cand, den, best, best_den)):
+                    best, best_den = cand, den
+                    best_perm = (a, b, *(i for _, _, i in cand))
+    _, entries = squared_numerators(tuple(c.points[i] for i in best_perm), k)
+    return embed_from_distances(DistanceMatrix(entries), provenance="canonical")
 
 
 def oracle_found(spec: SearchSpec) -> tuple[Configuration, ...]:
@@ -173,14 +208,16 @@ def test_canonical_form_large_circle_is_polynomial():
     assert canonical_form(moved) == canon
 
 
-def _differential_hits(monkeypatch, spec: SearchSpec) -> int:
-    """Run ``spec`` checking every raw hit's canonical form against the oracle."""
+def _differential_hits(monkeypatch, spec: SearchSpec, oracle=brute_canonical_form) -> int:
+    """Run ``spec`` checking every raw hit's canonical form against ``oracle``."""
     fast = searchgen.canonical_form
     hits = []
 
     def checked(c: Configuration) -> Configuration:
         got = fast(c)
-        assert got == brute_canonical_form(c), c
+        want = oracle(c)
+        assert got == want, c
+        assert got.to_dict() == want.to_dict(), c
         hits.append(c)
         return got
 
@@ -196,6 +233,52 @@ def test_canonical_form_matches_oracle_on_criterion_9_hits(monkeypatch):
 @pytest.mark.parametrize("k", [2, 7])
 def test_canonical_form_matches_oracle_on_k_hits(monkeypatch, k):
     assert _differential_hits(monkeypatch, SearchSpec(k, 4, 1, 3)) > 0
+
+
+@pytest.mark.parametrize(
+    "spec, raw_hits",
+    [
+        (SearchSpec(1, 4, 1, 3), 1872),
+        (SearchSpec(1, 3, 2, 3), 4610),
+        (SearchSpec(1, 4, 1, 3, Requirement.STRONG), 348),
+        (SearchSpec(2, 4, 1, 3), 1160),
+        (SearchSpec(7, 4, 1, 3), 1038),
+    ],
+)
+def test_canonical_form_matches_embedding_oracle_on_raw_hits(monkeypatch, spec, raw_hits):
+    assert _differential_hits(monkeypatch, spec, oracle_canonical_form) == raw_hits
+
+
+def test_canonical_form_of_two_points():
+    for k, far in ((1, (F(2), F(5))), (7, (F(8), F(2)))):
+        c = Configuration(k, (LatticePoint(F(5), F(1)), LatticePoint(*far)))
+        canon = canonical_form(c)
+        assert canon.k == 1
+        assert canon.points == (LatticePoint(F(0), F(0)), LatticePoint(F(1), F(0)))
+        assert canon == oracle_canonical_form(c)
+
+
+@pytest.mark.parametrize(
+    "k, step, offsets",
+    # |step|^2 = dx^2 + k*dy^2 is a square: 1 + 2*2^2 = 3^2 and 3^2 + 7*1^2 = 4^2
+    [(2, (1, 2), (0, 1, 3)), (7, (3, 1), (-2, 0, 1, 5)), (2, (-1, 2), (4, 1, 0, -5, 2))],
+)
+def test_canonical_form_of_collinear_k_lattice_set_has_k_1(k, step, offsets):
+    c = Configuration(k, tuple(LatticePoint(1 + t * step[0], F(1, 3) + t * step[1]) for t in offsets))
+    canon = canonical_form(c)
+    assert canon.k == 1
+    assert all(p.yc == 0 for p in canon.points)
+    assert canon == oracle_canonical_form(c)
+
+
+def test_canonical_form_rejects_a_non_rds_whose_bad_pair_is_not_an_anchor_pair():
+    # every pair but (2,3) is rational; the bad pair is sqrt(17)
+    c = Configuration(1, tuple(LatticePoint(F(x), F(y)) for x, y in ((0, 0), (0, 3), (0, 1), (4, 0))))
+    assert [(i, j) for i, j, _ in verify_rds(c).failing_pairs] == [(2, 3)]
+    with pytest.raises(NotRdsMatrixError):
+        oracle_canonical_form(c)
+    with pytest.raises(NotRdsMatrixError, match="not a rational square"):
+        canonical_form(c)
 
 
 CIRCLE = generate_circle_rds(8)
@@ -224,6 +307,53 @@ def small_rds(draw):
 @given(small_rds())
 def test_canonical_form_matches_oracle_on_fixtures(c):
     assert canonical_form(c) == brute_canonical_form(c)
+
+
+# non-collinear classes that the k=2 and k=7 (4,1,3) searches find
+K_LATTICE_RDS = tuple(
+    Configuration(k, (LatticePoint(F(0), F(0)), LatticePoint(F(1), F(0)), LatticePoint(x, yc)))
+    for k, x, yc in (
+        (2, F(-3, 4), F(3, 2)), (2, F(-2, 5), F(4, 5)), (2, F(2, 9), F(4, 9)),
+        (7, F(-1, 8), F(3, 8)), (7, F(1, 32), F(3, 32)), (7, F(18, 121), F(24, 121)),
+    )
+)
+
+
+@st.composite
+def similar_copy(draw):
+    """A fixture RDS and a random similar copy of it.
+
+    The rotation multiplies by (u + v*sqrt(-k))/w with u = m^2 - k*n^2,
+    v = 2mn and w = m^2 + k*n^2, so that u^2 + k*v^2 = w^2 keeps every
+    distance rational; then come a rational scale, a translation, an
+    optional reflection in the x-axis and a shuffle of the points.
+    """
+    c = draw(st.one_of(small_rds(), st.sampled_from(K_LATTICE_RDS)))
+    k = c.k
+    m = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0 if m else 1, max_value=6))
+    u, v, w = m * m - k * n * n, 2 * m * n, m * m + k * n * n
+    scale = draw(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9))
+    tx, ty = draw(st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=6)] * 2))
+    sign = draw(st.sampled_from((1, -1)))
+    moved = [
+        LatticePoint(
+            scale * (p.x * u - k * p.yc * v) / w + tx,
+            sign * (scale * (p.x * v + p.yc * u) / w + ty),
+        )
+        for p in c.points
+    ]
+    return c, Configuration(k, draw(st.permutations(moved)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(similar_copy())
+def test_canonical_form_of_a_similar_copy_is_unchanged(pair):
+    c, copy = pair
+    assert verify_rds(copy).is_rds
+    canon = canonical_form(copy)
+    assert canon == canonical_form(c)
+    assert canon == oracle_canonical_form(copy)
 
 
 # ---------------------------------------------------------------------------

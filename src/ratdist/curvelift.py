@@ -11,13 +11,14 @@ root-multiplicity bookkeeping over Q(omega).
 
 The restriction is summed in integers: with a = A/D, b = B/D and
 tau = D*t, the powers of A - omega*tau and B + tau are (re, im) int pairs
-and ints, and each coefficient is divided once at the end.  A crossing of
-two of the lines lies on f exactly when the restriction to either line
-vanishes at the crossing's parameter, so no point of the plane is
-evaluated.  f is rational, so its restriction to a conjugate line is the
-coefficient-wise conjugate of the restriction to the partner line, with
-the same root multiplicities: of a triple's six lines only three are
-restricted and decomposed.
+and ints, and each coefficient is divided once at the end.  The line of
+(a, b) crosses a line of the other family, through (a', b'), at the
+closed-form parameter t = (b' - b)/2 + s*omega*(a' - a)/(2k), s = -1 on a
+conjugate line, and the crossing lies on f exactly when the restriction
+vanishes there, so no point of the plane is built.  f is rational, so
+its restriction to a conjugate line is the coefficient-wise conjugate of
+the restriction to the partner line, with the same root multiplicities:
+of a triple's six lines only three are restricted and decomposed.
 
 The selection routine picks a triple of base points whose six isotropic
 lines meet the curve transversely at enough points for the double cover
@@ -322,7 +323,8 @@ def transversality_report(
     p = substitute_line(curve, line)
     if p.is_zero():
         raise LineIsComponentError("line is a component of the curve")
-    return _report(curve.degree, line, p, _root_multiplicities(p), exclusions)
+    excluded = {t for x0, y0 in exclusions if (t := line.parameter_of(x0, y0)) is not None}
+    return _report(curve.degree, p, _root_multiplicities(p), excluded)
 
 
 def _root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
@@ -335,23 +337,18 @@ def _root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
 
 def _report(
     degree: int,
-    line: IsotropicLine,
     p: ImQuadPoly,
     multiplicities: tuple[tuple[int, int], ...],
-    exclusions: tuple,
+    excluded: set[ImQuadElement],
 ) -> TransversalityReport:
-    # p is the curve restricted to the line, multiplicities its root counts
+    # p is the curve restricted to a line, multiplicities its root counts,
+    # excluded the parameters of points on the line that are not counted
     simple = dict(multiplicities).get(1, 0)
-    if simple and exclusions:
+    if simple and excluded:
         dp = p.derivative()
-        seen: set = set()
-        for x0, y0 in exclusions:
-            t0 = line.parameter_of(x0, y0)
-            if t0 is None or t0 in seen:
-                continue
-            seen.add(t0)
-            if p.evaluate(t0).is_zero() and not dp.evaluate(t0).is_zero():
-                simple -= 1
+        simple -= sum(
+            1 for t in excluded if p.evaluate(t).is_zero() and not dp.evaluate(t).is_zero()
+        )
     return TransversalityReport(
         simple_roots=simple,
         multiplicities=multiplicities,
@@ -360,30 +357,15 @@ def _report(
     )
 
 
-def line_intersection(
-    l1: IsotropicLine, l2: IsotropicLine
-) -> tuple[ImQuadElement, ImQuadElement]:
-    """Affine meeting point of a line and a conjugate-family line.
-
-    Two lines of the same family only meet at the circular point at
-    infinity, which has no affine representative.
-    """
-    if l1.k != l2.k:
-        raise CurveliftError("lines live over different field parameters")
-    if l1.conjugate == l2.conjugate:
-        raise CurveliftError("same-family isotropic lines meet only at infinity")
-    if l1.conjugate:
-        l1, l2 = l2, l1
-    k = l1.k
-    w = omega(k)
-    a, b = l1.base.x, l1.base.yc
-    ap, bp = l2.base.x, l2.base.yc
-    half = Fraction(1, 2)
-    x = ImQuadElement(half * (a + ap), half * (b - bp), k)
-    y = ImQuadElement(half * (b + bp), Fraction(0), k) - w * ImQuadElement.from_rational(
-        Fraction(a - ap, 2 * k), k
+def _crossing_parameter(line: IsotropicLine, other: IsotropicLine) -> ImQuadElement:
+    # Parameter on ``line`` of its crossing with ``other``, a line of the
+    # other family.  Equating (a - s*w*t, b + t) with (a' + s*w*t', b' + t')
+    # and using 1/w = -w/k gives t = (b' - b)/2 + s*w*(a' - a)/(2k).  Two
+    # lines of the same family meet only at the circular point at infinity.
+    s = -1 if line.conjugate else 1
+    return ImQuadElement(
+        (other.base.yc - line.base.yc) / 2, s * (other.base.x - line.base.x) / (2 * line.k), line.k
     )
-    return x, y
 
 
 def reflection_across_line(
@@ -435,12 +417,19 @@ def six_lines(
     return tuple(out)
 
 
+def _require_distinct(triple: tuple[LatticePoint, LatticePoint, LatticePoint]) -> None:
+    # a repeated base point would count the lines through it twice
+    if len(set(triple)) != 3:
+        raise CurveliftError("cover needs three distinct base points")
+
+
 def _restrict_six(
     curve: PlaneCurve, triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int
-) -> tuple[tuple[IsotropicLine, ...], list[ImQuadPoly], list, list[list]]:
+) -> tuple[tuple[IsotropicLine, ...], list[ImQuadPoly], list, list[set[ImQuadElement]]]:
     """The six lines of the triple with, per line, the curve's restriction,
     its root multiplicities (None when the line lies in the curve) and the
-    points on the curve that the line shares with another of the six.
+    parameters of the points on the curve that the line shares with another
+    of the six.
 
     The curve is rational, so its restriction to a conjugate line is the
     coefficient-wise conjugate of the restriction to the partner line, with
@@ -459,28 +448,24 @@ def _restrict_six(
 
 def _shared_curve_points(
     lines: tuple[IsotropicLine, ...], polys: list[ImQuadPoly]
-) -> list[list[tuple[ImQuadElement, ImQuadElement]]]:
-    # Per line: affine points shared with another line that also lie on the
-    # curve.  Same-family pairs only meet at infinity and are skipped.
-    shared: list[list[tuple[ImQuadElement, ImQuadElement]]] = [[] for _ in lines]
+) -> list[set[ImQuadElement]]:
+    """Per line, the set of parameters at which a line of the other family
+    crosses it on the curve.
+
+    The crossing parameter has a closed form (``_crossing_parameter``), and
+    the crossing lies on the curve exactly when the restriction ``polys[i]``
+    vanishes there, so no point of the plane is built.  Same-family pairs
+    only meet at infinity and are skipped.
+    """
+    shared: list[set[ImQuadElement]] = [set() for _ in lines]
     for i, j in itertools.combinations(range(len(lines)), 2):
         if lines[i].conjugate == lines[j].conjugate:
             continue
-        point = _crossing_on_curve(lines[i], polys[i], lines[j])
-        if point is not None:
-            shared[i].append(point)
-            shared[j].append(point)
+        t = _crossing_parameter(lines[i], lines[j])
+        if polys[i].evaluate(t).is_zero():
+            shared[i].add(t)
+            shared[j].add(_crossing_parameter(lines[j], lines[i]))
     return shared
-
-
-def _crossing_on_curve(
-    line: IsotropicLine, restriction: ImQuadPoly, other: IsotropicLine
-) -> tuple[ImQuadElement, ImQuadElement] | None:
-    # The crossing of two lines of opposite families when it lies on the
-    # curve, None otherwise.  The crossing (x0, y0) sits on ``line`` at t0,
-    # so f(x0, y0, 1) is the curve's restriction to ``line`` at t0.
-    x0, y0 = line_intersection(line, other)
-    return (x0, y0) if restriction.evaluate(line.parameter_of(x0, y0)).is_zero() else None
 
 
 def count_transverse_union(
@@ -491,12 +476,12 @@ def count_transverse_union(
     Points on two of the six lines are excluded (the union is singular
     there, so the intersection with the curve cannot be transverse).
     """
+    _require_distinct(triple)
     lines, polys, mults, shared = _restrict_six(curve, triple, k)
     if None in mults:
         raise LineIsComponentError("line is a component of the curve")
     reports = tuple(
-        _report(curve.degree, line, p, m, tuple(points))
-        for line, p, m, points in zip(lines, polys, mults, shared)
+        _report(curve.degree, p, m, excluded) for p, m, excluded in zip(polys, mults, shared)
     )
     return sum(r.simple_roots for r in reports), reports
 
@@ -580,7 +565,9 @@ def choose_transverse_triple(
         def crossings_clear(a: LatticePoint, b: LatticePoint) -> bool:
             # neither mixed-family crossing of the lines of a and b is on the curve
             return not any(
-                _crossing_on_curve(IsotropicLine(u, k), restricted[u], IsotropicLine(v, k, True))
+                restricted[u].evaluate(
+                    _crossing_parameter(IsotropicLine(u, k), IsotropicLine(v, k, True))
+                ).is_zero()
                 for u, v in ((a, b), (b, a))
             )
 
@@ -671,11 +658,9 @@ def build_double_cover(
         raise CurveliftError("field parameter k is required with a bare triple")
     if k < 1:
         raise CurveliftError(f"field parameter k must be >= 1, got {k}")
-    if len(set(triple)) != 3:
-        raise CurveliftError("cover needs three distinct base points")
+    _require_distinct(triple)
     d = curve.degree
-    if d == 2:
-        raise UseInversionFirstError("degree 2: use inversion first (planeset.invert)")
+    threshold(d)  # rejects d < 1, and d = 2 with UseInversionFirstError
 
     sextic = quadric_polynomial(triple[0], k)
     for p in triple[1:]:

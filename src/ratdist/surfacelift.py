@@ -8,8 +8,10 @@ evaluated from the closed-form classification: m * 2^(m-1) finite ordinary
 double points (multiplicity 2, discrepancy 0) plus two ordinary multiple
 points at infinity with multiplicity 2^(m-2) and discrepancy 3 - m, while
 K^2 = (m-3)^2 * 2^m.  A Jacobian spot check is provided to verify the
-classification against exact rank computations at small m.  Certificates
-are issued for m up to MAX_M.
+classification against exact rank computations at small m.  A row with
+r_j != 0 is the only one with an entry in its column 3 + j, so only the
+3-column (x, y, z) block of the rows with r_j = 0 is row-reduced.
+Certificates are issued for m up to MAX_M.
 """
 
 from __future__ import annotations
@@ -383,7 +385,11 @@ def jacobian_spot_check(sys: QuadricSystem, coords) -> dict:
 
     Verifies the closed-form census on demand: the Jacobian of the m
     quadric equations has rank m exactly at the smooth points of the
-    complete intersection.
+    complete intersection.  Row j of the Jacobian is nonzero in column 3+j
+    only through the entry 2*r_j, and no other row is, so each row with
+    r_j != 0 is independent of all the others.  The rank is the number of
+    those rows plus the rank of the 3-column (x, y, z) block of the rows
+    with r_j = 0.
     """
     k = sys.k
     lifted = tuple(
@@ -394,22 +400,21 @@ def jacobian_spot_check(sys: QuadricSystem, coords) -> dict:
         raise SurfaceliftError(
             f"expected {3 + sys.m} homogeneous coordinates, got {len(lifted)}"
         )
+    if all(c.is_zero() for c in lifted):
+        raise SurfaceliftError("homogeneous coordinates cannot all vanish")
     x, y, z = lifted[:3]
-    two = Fraction(2)
     on_surface = True
-    rows: list[list[ImQuadElement]] = []
-    zero = ImQuadElement.from_rational(0, k)
+    independent = 0
+    block: list[list[ImQuadElement]] = []
     for j, base in enumerate(sys.base):
         r = lifted[3 + j]
         dx = x - base.x * z
         dy = y - base.yc * z
         if not (r * r - dx * dx - k * dy * dy).is_zero():
             on_surface = False
-        row = [zero] * (3 + sys.m)
-        row[0] = -two * dx
-        row[1] = -two * k * dy
-        row[2] = two * base.x * dx + two * k * base.yc * dy
-        row[3 + j] = two * r
-        rows.append(row)
-    rank = _rank(rows)
+        if not r.is_zero():
+            independent += 1
+        else:  # the row's (x, y, z) entries, divided by -2
+            block.append([dx, k * dy, -base.x * dx - k * base.yc * dy])
+    rank = independent + _rank(block)
     return {"on_surface": on_surface, "rank": rank, "smooth": on_surface and rank == sys.m}

@@ -22,10 +22,10 @@ from ratdist.curvelift import (
     choose_transverse_triple,
     count_transverse_union,
     line_curve,
-    line_intersection,
     point_is_smooth,
     quadric_polynomial,
     reflection_across_line,
+    _crossing_parameter,
     _poly_mul,
     _poly_norm,
     _restrict_six,
@@ -351,6 +351,27 @@ def test_double_cover_argument_validation():
         build_double_cover(X_AXIS, (pt(0, 1), pt(0, 2), pt(0, 3)))  # k missing
 
 
+def test_double_cover_rejects_degree_zero():
+    # a constant "curve" used to get r = (6, 0) and genus = (2, 1)
+    constant = PlaneCurve.from_coeffs({(0, 0, 0): F(3)})
+    assert constant.degree == 0
+    triple = (pt(0, 1), pt(1, 1), pt(2, 5))
+    for smooth in (None, True):
+        with pytest.raises(CurveliftError, match="degree must be positive, got 0"):
+            build_double_cover(constant, triple, k=1, smooth_curve=smooth)
+
+
+def test_count_transverse_union_rejects_repeated_base_points():
+    # the repeated point's lines used to be counted twice: 6 transverse
+    # points, as many as a valid triple
+    for triple in ((pt(0, 1), pt(0, 1), pt(1, 1)), (pt(0, 1), pt(1, 1), pt(0, 1))):
+        with pytest.raises(CurveliftError, match="cover needs three distinct base points"):
+            count_transverse_union(X_AXIS, triple, 1)
+        with pytest.raises(CurveliftError, match="cover needs three distinct base points"):
+            build_double_cover(X_AXIS, triple, k=1)
+    assert count_transverse_union(X_AXIS, (pt(0, 1), pt(0, 2), pt(1, 1)), 1)[0] == 6
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_double_cover_rejects_nonpositive_k(k):
     # exact mode used to swallow the field error and return interval bounds
@@ -405,6 +426,32 @@ def oracle_substitute_line(curve: PlaneCurve, line: IsotropicLine) -> ImQuadPoly
     for i, j, _l, c in curve.monomials:
         acc = acc + (x_pow[i] * y_pow[j]).scale(c)
     return acc
+
+
+def line_intersection(
+    l1: IsotropicLine, l2: IsotropicLine
+) -> tuple[ImQuadElement, ImQuadElement]:
+    """Affine meeting point of a line and a conjugate-family line.
+
+    Two lines of the same family only meet at the circular point at
+    infinity, which has no affine representative.
+    """
+    if l1.k != l2.k:
+        raise CurveliftError("lines live over different field parameters")
+    if l1.conjugate == l2.conjugate:
+        raise CurveliftError("same-family isotropic lines meet only at infinity")
+    if l1.conjugate:
+        l1, l2 = l2, l1
+    k = l1.k
+    w = omega(k)
+    a, b = l1.base.x, l1.base.yc
+    ap, bp = l2.base.x, l2.base.yc
+    half = Fraction(1, 2)
+    x = ImQuadElement(half * (a + ap), half * (b - bp), k)
+    y = ImQuadElement(half * (b + bp), Fraction(0), k) - w * ImQuadElement.from_rational(
+        Fraction(a - ap, 2 * k), k
+    )
+    return x, y
 
 
 def oracle_shared_curve_points(curve: PlaneCurve, lines) -> list[list]:
@@ -564,7 +611,11 @@ def test_six_lines_match_oracles(case):
     lines, polys, mults, shared = _restrict_six(curve, triple, k)
     oracle_polys = [oracle_substitute_line(curve, line) for line in lines]
     assert polys == oracle_polys
-    assert shared == oracle_shared_curve_points(curve, lines)
+    oracle_points = oracle_shared_curve_points(curve, lines)
+    assert shared == [
+        {line.parameter_of(*point) for point in points}
+        for line, points in zip(lines, oracle_points)
+    ]
     assert _shared_curve_points(lines, oracle_polys) == shared
 
     got = _outcome(count_transverse_union, curve, triple, k)
@@ -580,6 +631,14 @@ def test_six_lines_match_oracles(case):
         r = oracle_cover_r(curve, triple, k)
         assert cover.exact == (r is not None)
         assert cover.r == (r if cover.exact else (6, 6 * curve.degree))
+
+
+@settings(max_examples=200, deadline=None)
+@given(POINTS, POINTS, st.sampled_from([1, 2, 3, 7]), st.booleans())
+def test_crossing_parameter_matches_line_intersection(p, q, k, conjugate):
+    line, other = IsotropicLine(p, k, conjugate), IsotropicLine(q, k, not conjugate)
+    for l, o in ((line, other), (other, line)):
+        assert _crossing_parameter(l, o) == l.parameter_of(*line_intersection(l, o))
 
 
 # ---------------------------------------------------------------------------

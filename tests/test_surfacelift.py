@@ -1,5 +1,6 @@
 """Tests for the quadric system, lifting, census, and the certificate."""
 
+import random
 import sys
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratdist.exactnum import ImQuadElement
 from ratdist.planeset import Configuration, LatticePoint
 from ratdist.surfacelift import (
     MAX_M,
@@ -27,6 +29,7 @@ from ratdist.surfacelift import (
     singularity_census,
     surface_invariants,
     verify_on_surface,
+    _rank,
 )
 
 F = Fraction
@@ -393,6 +396,100 @@ def test_spot_check_infinity_points_singular():
 def test_spot_check_off_surface():
     coords = (F(1), F(1), F(1), F(1), F(1), F(1), F(1))
     assert not jacobian_spot_check(RECT_SYS, coords)["on_surface"]
+
+
+def test_spot_check_rejects_the_zero_vector():
+    # it used to report {"on_surface": True, "rank": 0, "smooth": False}
+    for zero in (F(0), ImQuadElement.from_rational(0, 1)):
+        with pytest.raises(SurfaceliftError, match="cannot all vanish"):
+            jacobian_spot_check(RECT_SYS, (zero,) * 7)
+
+
+def oracle_jacobian_spot_check(system: QuadricSystem, coords) -> dict:
+    """The full m x (m+3) Jacobian of the m quadrics, row-reduced by _rank."""
+    k = system.k
+    lifted = [c if isinstance(c, ImQuadElement) else ImQuadElement.from_rational(c, k) for c in coords]
+    x, y, z = lifted[:3]
+    zero = ImQuadElement.from_rational(0, k)
+    on_surface = True
+    rows = []
+    for j, base in enumerate(system.base):
+        r = lifted[3 + j]
+        dx = x - base.x * z
+        dy = y - base.yc * z
+        if not (r * r - dx * dx - k * dy * dy).is_zero():
+            on_surface = False
+        row = [zero] * (3 + system.m)
+        row[0] = -2 * dx
+        row[1] = -2 * k * dy
+        row[2] = 2 * base.x * dx + 2 * k * base.yc * dy
+        row[3 + j] = 2 * r
+        rows.append(row)
+    rank = _rank(rows)
+    return {"on_surface": on_surface, "rank": rank, "smooth": on_surface and rank == system.m}
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 5]))
+
+
+def spot_check_corpus(m: int, k: int, seed: int):
+    """A system of m base points at rational distance from a center P, and
+    points to test: lifts of P on random sheets and scales, the sheet over
+    a base point at P, both points at infinity, and random Q(omega)
+    coordinates off the surface with some r_j = 0.
+
+    (1 - k*s^2)^2 + k*(2s)^2 = (1 + k*s^2)^2, so the base point
+    P - c*(1 - k*s^2, 2s) is at distance |c|*(1 + k*s^2) from P.
+    """
+    rng = random.Random(seed)
+    center = LatticePoint(_rational(rng), _rational(rng))
+    base: dict[LatticePoint, Fraction] = {}
+    while len(base) < m:
+        s, c = _rational(rng), _rational(rng) or F(1)
+        q = LatticePoint(center.x - c * (1 - k * s * s), center.yc - 2 * c * s)
+        base[q] = c * (1 + k * s * s)
+    system = QuadricSystem(m, k, tuple(base))
+    radii = list(base.values())
+    points = []
+    for _ in range(3):
+        scale = _rational(rng) or F(1)
+        signs = [rng.choice([1, -1]) for _ in radii]
+        points.append(
+            [scale * v for v in (center.x, center.yc, F(1), *(e * r for e, r in zip(signs, radii)))]
+        )
+    # replace base point j by P itself: the lift of P is on its sheet, r_j = 0
+    j = rng.randrange(m)
+    sheet_sys = QuadricSystem(m, k, tuple(center if i == j else q for i, q in enumerate(base)))
+    sheet = [center.x, center.yc, F(1), *(F(0) if i == j else r for i, r in enumerate(radii))]
+    cases = [(system, p) for p in points] + [(sheet_sys, sheet)]
+    cases += [(system, p) for p in infinity_singular_points(system)]
+    for _ in range(4):
+        coords = [ImQuadElement(_rational(rng), _rational(rng), k) for _ in range(3)]
+        coords += [
+            ImQuadElement(_rational(rng), _rational(rng), k)
+            if rng.random() < 0.5
+            else ImQuadElement.from_rational(0, k)
+            for _ in range(m)
+        ]
+        if not all(c.is_zero() for c in coords):
+            cases.append((system, coords))
+    return cases
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_spot_check_block_rank_matches_full_jacobian(m, k):
+    for seed in range(3):
+        cases = spot_check_corpus(m, k, seed + 100 * m + 10 * k)
+        results = [jacobian_spot_check(system, coords) for system, coords in cases]
+        assert results == [oracle_jacobian_spot_check(system, coords) for system, coords in cases]
+        # the lifts of P are smooth, the sheet over a base point is a
+        # double point, and for m >= 3 so are the points at infinity
+        assert results[:3] == [{"on_surface": True, "rank": m, "smooth": True}] * 3
+        assert results[3] == {"on_surface": True, "rank": m - 1, "smooth": False}
+        assert all(r["on_surface"] for r in results[4:6])
+        assert all(not r["smooth"] for r in results[4:6]) == (m >= 3)
 
 
 # ---------------------------------------------------------------------------

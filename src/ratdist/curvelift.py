@@ -20,6 +20,11 @@ its restriction to a conjugate line is the coefficient-wise conjugate of
 the restriction to the partner line, with the same root multiplicities:
 of a triple's six lines only three are restricted and decomposed.
 
+Both root questions go mod the good prime of exactnum first: a
+restriction certified squarefree there has only simple roots, and a
+crossing where the reduced restriction does not vanish is off the curve.
+Exact Yun and exact evaluation settle only what the prime leaves open.
+
 The selection routine picks a triple of base points whose six isotropic
 lines meet the curve transversely at enough points for the double cover
 w^2 = q1*q2*q3 on f = 0 to have the expected ramification; the cover's
@@ -37,6 +42,8 @@ from math import comb, lcm
 from .exactnum import (
     ImQuadElement,
     ImQuadPoly,
+    _certified_squarefree,
+    _is_root,
     format_rational,
     omega,
     parse_int,
@@ -328,7 +335,11 @@ def transversality_report(
 
 
 def _root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
-    # (multiplicity, number of roots) pairs of a nonzero polynomial, by Yun
+    # (multiplicity, number of roots) pairs of a nonzero polynomial.  Most
+    # restrictions are squarefree, which one gcd mod a good prime certifies;
+    # the rest, and any the prime cannot decide, go through exact Yun
+    if p.degree >= 1 and _certified_squarefree(p):
+        return ((1, p.degree),)
     by_mult: dict[int, int] = {}
     for factor, mult in squarefree_decomposition(p):
         by_mult[mult] = by_mult.get(mult, 0) + factor.degree
@@ -462,7 +473,7 @@ def _shared_curve_points(
         if lines[i].conjugate == lines[j].conjugate:
             continue
         t = _crossing_parameter(lines[i], lines[j])
-        if polys[i].evaluate(t).is_zero():
+        if _is_root(polys[i], t):
             shared[i].add(t)
             shared[j].add(_crossing_parameter(lines[j], lines[i]))
     return shared
@@ -565,9 +576,10 @@ def choose_transverse_triple(
         def crossings_clear(a: LatticePoint, b: LatticePoint) -> bool:
             # neither mixed-family crossing of the lines of a and b is on the curve
             return not any(
-                restricted[u].evaluate(
-                    _crossing_parameter(IsotropicLine(u, k), IsotropicLine(v, k, True))
-                ).is_zero()
+                _is_root(
+                    restricted[u],
+                    _crossing_parameter(IsotropicLine(u, k), IsotropicLine(v, k, True)),
+                )
                 for u, v in ((a, b), (b, a))
             )
 

@@ -7,6 +7,18 @@ decomposition of rationals, and univariate polynomial arithmetic over
 Q(omega) with omega^2 = -k, including monic gcd and Yun squarefree
 decomposition.
 
+Two private one-sided certificates let callers skip the Fraction work in
+the common case.  Each k gets one good prime p > 2^61 with -k a square
+mod p, and a root w of w^2 = -k mod p; omega -> w maps every element of
+Q(omega) whose denominators p does not divide into F_p, and this map is a
+ring homomorphism.  So a polynomial whose image keeps its degree and is
+coprime to its derivative is squarefree, and a polynomial whose image
+does not vanish at the image of t does not vanish at t.  When the image
+says nothing (p divides a denominator, the degree drops, the gcd mod p is
+not 1, the value mod p is 0), exact arithmetic decides: ``_is_root``
+evaluates in Q(omega), and ``_certified_squarefree`` returns False so that
+its caller runs Yun.
+
 All values are immutable and all operations are pure functions.
 """
 
@@ -15,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 
@@ -422,3 +435,139 @@ def squarefree_decomposition(
         d = c - b.derivative()
         i += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# one-sided certificates mod a good prime
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin on the first twelve prime bases: exact below
+    # 318665857834031151167461 ~ 3.2e23, the least composite passing all twelve
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod the odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ExactnumError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+@cache
+def _good_prime(k: int) -> tuple[int, int]:
+    """The least prime p > 2^61 with -k a square mod p, and a root w of w^2 = -k.
+
+    k = 1 needs p = 1 mod 4: -1 is never a square mod a prime p = 3 mod 4.
+    """
+    p = 2**61 + 1
+    while not (_is_prime(p) and pow(-k % p, (p - 1) // 2, p) == 1):
+        p += 2
+    return p, _sqrt_mod(-k, p)
+
+
+def _reduce(x: ImQuadElement, p: int, w: int) -> int | None:
+    # image of x under omega -> w in F_p, None when p divides a denominator
+    re_den, im_den = x.re.denominator, x.im.denominator
+    den = re_den * im_den % p
+    if den == 0:
+        return None
+    return (x.re.numerator * im_den + x.im.numerator * re_den * w) * pow(den, -1, p) % p
+
+
+def _reduce_poly(poly: ImQuadPoly, p: int, w: int) -> list[int] | None:
+    out = []
+    for c in poly.coeffs:
+        v = _reduce(c, p, w)
+        if v is None:
+            return None
+        out.append(v)
+    return out
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
+    # degree of gcd(a, b) in F_p[t], coefficients lowest first
+    def trim(f: list[int]) -> list[int]:
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a[-1] * inv % p
+            shift = len(a) - 1 - db
+            for j, v in enumerate(b):
+                a[shift + j] = (a[shift + j] - c * v) % p
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def _certified_squarefree(poly: ImQuadPoly) -> bool:
+    """True only when poly, of degree >= 1, is squarefree over Q(omega).
+
+    The image f of poly mod the good prime keeps poly's degree, and
+    deg gcd(f, f') = 0; then the discriminant of poly reduces to a nonzero
+    value, so it is nonzero.  False proves nothing.
+    """
+    p, w = _good_prime(poly.k)
+    f = _reduce_poly(poly, p, w)
+    if f is None or f[-1] == 0:
+        return False
+    return _gcd_degree_mod(f, [i * c % p for i, c in enumerate(f)][1:], p) == 0
+
+
+def _is_root(poly: ImQuadPoly, t: ImQuadElement) -> bool:
+    """Exactly poly(t) == 0: a nonzero value mod the good prime settles it
+    as False, and every other case evaluates in Q(omega)."""
+    p, w = _good_prime(poly.k)
+    f, x = _reduce_poly(poly, p, w), _reduce(t, p, w)
+    if f is not None and x is not None:
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * x + c) % p
+        if acc:
+            return False
+    return poly.evaluate(t).is_zero()

@@ -400,6 +400,8 @@ def jacobian_spot_check(sys: QuadricSystem, coords) -> dict:
         raise SurfaceliftError(
             f"expected {3 + sys.m} homogeneous coordinates, got {len(lifted)}"
         )
+    if any(c.k != k for c in lifted):
+        raise SurfaceliftError(f"coordinates must lie in Q(sqrt(-{k})), the system's field")
     if all(c.is_zero() for c in lifted):
         raise SurfaceliftError("homogeneous coordinates cannot all vanish")
     x, y, z = lifted[:3]

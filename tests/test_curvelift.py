@@ -1,5 +1,6 @@
 """Tests for isotropic-line transversality and the double cover."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdist.exactnum import ImQuadElement, ImQuadPoly, omega, squarefree_decomposition
+from ratdist import exactnum
+from ratdist.exactnum import (
+    ImQuadElement,
+    ImQuadPoly,
+    _is_root,
+    _sqrt_mod,
+    omega,
+    squarefree_decomposition,
+)
 from ratdist.curvelift import (
     CurveliftError,
     HypothesisViolationError,
@@ -29,6 +38,7 @@ from ratdist.curvelift import (
     _poly_mul,
     _poly_norm,
     _restrict_six,
+    _root_multiplicities,
     _shared_curve_points,
     six_lines,
     substitute_line,
@@ -766,3 +776,136 @@ def test_choose_triple_matches_evaluation_oracle(seed):
         assert any(s["step"] == "skip" for s in transcript)
     if seed % 3 == 2:
         assert any(s.get("reason") == "line in curve" for s in transcript)
+
+
+# ---------------------------------------------------------------------------
+# modular certificates against the exact oracles
+
+
+def oracle_root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
+    """(multiplicity, number of roots) pairs from exact Yun alone."""
+    by_mult: dict[int, int] = {}
+    for factor, mult in squarefree_decomposition(p):
+        by_mult[mult] = by_mult.get(mult, 0) + factor.degree
+    return tuple(sorted(by_mult.items()))
+
+
+# -k is a square mod each, and each exceeds the largest degree drawn, 8
+SMALL_GOOD_PRIMES = {1: 13, 3: 13, 2: 11, 7: 11}
+
+
+@contextlib.contextmanager
+def good_primes(small: bool):
+    """Run with the real good primes, or with SMALL_GOOD_PRIMES, under which
+    denominators, leading coefficients, gcds and values vanish mod p often
+    enough to send most inputs down the exact fallback."""
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            mp.setattr(
+                exactnum,
+                "_good_prime",
+                lambda k: (SMALL_GOOD_PRIMES[k], _sqrt_mod(-k, SMALL_GOOD_PRIMES[k])),
+            )
+        yield
+
+
+# denominators 11 and 13 are the small primes; numerators 143 = 11*13 zero a coefficient mod both
+CERT_RATIONALS = st.builds(
+    Fraction, st.one_of(st.integers(-6, 6), st.sampled_from([143, -286])), st.sampled_from([1, 2, 3, 7, 11, 13])
+)
+
+
+def cert_polys(k: int, lo: int, hi: int):
+    element = st.builds(lambda a, b: ImQuadElement(a, b, k), CERT_RATIONALS, CERT_RATIONALS)
+    return st.lists(element, min_size=lo + 1, max_size=hi + 1).map(
+        lambda cs: ImQuadPoly.from_coeffs(cs, k)
+    ).filter(lambda p: p.degree >= lo)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A nonzero polynomial of degree <= 8 over Q(omega), k in {1, 2, 3, 7}:
+    a line restriction of a drawn curve or of a g*h^2 curve, or a product
+    g*h^2 of drawn polynomials, some with a leading coefficient that
+    vanishes mod the small good primes."""
+    k = draw(st.sampled_from([1, 2, 3, 7]))
+    kind = draw(st.sampled_from(["curve", "g*h^2 curve", "g*h^2", "g*h^2, h constant mod p"]))
+    if kind.startswith("g*h^2"):
+        h = draw(cert_polys(k, 1, 3))
+        if kind.endswith("mod p"):  # h = c + 143*u*t reduces to the constant c
+            c, u = draw(cert_polys(k, 0, 0)), draw(cert_polys(k, 0, 0))
+            h = c + ImQuadPoly.from_coeffs([0, 143], k) * u
+        g = draw(cert_polys(k, 0, 8 - 2 * h.degree))
+        if g.is_zero():
+            g = ImQuadPoly.constant(1, k)
+        return g * h * h
+    base = draw(POINTS)
+    line = IsotropicLine(base, k, draw(st.booleans()))
+    if kind == "curve":
+        f = draw(forms(draw(st.integers(1, 8))))
+    else:
+        dh = draw(st.integers(1, 3))
+        f = _poly_mul(draw(forms(draw(st.integers(0, 8 - 2 * dh)))), _poly_mul(*[draw(forms(dh))] * 2))
+    p = substitute_line(PlaneCurve.from_coeffs(f), line)
+    return p if not p.is_zero() else ImQuadPoly.constant(1, k)
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["good prime", "small prime"])
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases())
+def test_root_multiplicities_match_yun(small, p):
+    with good_primes(small):
+        assert _root_multiplicities(p) == oracle_root_multiplicities(p)
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["good prime", "small prime"])
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases(), st.data())
+def test_modular_zero_test_matches_evaluation(small, p, data):
+    k = p.k
+    element = st.builds(lambda a, b: ImQuadElement(a, b, k), CERT_RATIONALS, CERT_RATIONALS)
+    root, other = data.draw(element), data.draw(element)
+    with_root = p * ImQuadPoly.from_coeffs([-root, 1], k)
+    with good_primes(small):
+        assert _is_root(with_root, root)
+        for poly in (p, with_root):
+            for t in (root, other, root + SMALL_GOOD_PRIMES[k]):
+                assert _is_root(poly, t) == poly.evaluate(t).is_zero()
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["good prime", "small prime"])
+@settings(max_examples=25, deadline=None)
+@given(curve_cases())
+def test_six_lines_under_either_prime_match_oracles(small, case):
+    curve, triple, k = case
+    if k not in SMALL_GOOD_PRIMES:
+        return
+    lines = six_lines(triple, k)
+    polys = [oracle_substitute_line(curve, line) for line in lines]
+    want = [
+        {line.parameter_of(*point) for point in points}
+        for line, points in zip(lines, oracle_shared_curve_points(curve, lines))
+    ]
+    with good_primes(small):
+        assert _shared_curve_points(lines, polys) == want
+        _lines, _polys, mults, shared = _restrict_six(curve, triple, k)
+    assert shared == want
+    assert mults == [None if p.is_zero() else oracle_root_multiplicities(p) for p in polys]
+
+
+def _outcome_selection(curve, cands):
+    try:
+        sel = choose_transverse_triple(curve, cands)
+    except HypothesisViolationError as err:
+        return str(err), err.transcript
+    return sel
+
+
+@pytest.mark.parametrize("seed", [1, 4, 7, 10])
+def test_greedy_crossing_skips_under_a_small_prime(seed):
+    # seeds 1 mod 3 skip a point whose lines cross on the curve
+    curve, cands = seeded_curve_case(seed)
+    want = _outcome_selection(curve, cands)
+    if cands.k in SMALL_GOOD_PRIMES:
+        with good_primes(True):
+            assert _outcome_selection(curve, cands) == want

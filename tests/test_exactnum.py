@@ -6,6 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratdist.exactnum import (
+    _certified_squarefree,
+    _gcd_degree_mod,
+    _good_prime,
+    _is_prime,
+    _is_root,
+    _sqrt_mod,
     ExactnumError,
     ImQuadElement,
     ImQuadPoly,
@@ -346,3 +352,112 @@ def test_divmod_identity(pq):
     quot, rem = p.divmod(q)
     assert quot * q + rem == p
     assert rem.is_zero() or rem.degree < q.degree
+
+
+# ---------------------------------------------------------------------------
+# one-sided certificates mod a good prime
+
+# the least composite that passes Miller-Rabin on all of the bases 2..37
+PSI_12 = 318665857834031151167461
+
+
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, floor_sqrt_oracle(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(3000) if _is_prime(n)] == [
+        n for n in range(3000) if trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+     341550071728321, 3825123056546413051],
+)
+def test_is_prime_rejects_strong_pseudoprimes_to_fewer_bases(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_bound_is_the_least_twelve_base_pseudoprime():
+    # the good primes lie about 2^61, far below the bound
+    assert PSI_12 == 399165290221 * 798330580441 and _is_prime(PSI_12)
+    assert all(_good_prime(k)[0] < PSI_12 for k in (1, 2, 3, 7))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 73, 97, 113, 193, 257, 65537])
+def test_sqrt_mod_every_residue(p):
+    residues = {x * x % p for x in range(p)}
+    for a in range(p):
+        if a in residues:
+            r = _sqrt_mod(a, p)
+            assert 0 <= r < p and r * r % p == a
+        else:
+            with pytest.raises(ExactnumError):
+                _sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 7, 11, 163])
+def test_good_prime_has_a_square_root_of_minus_k(k):
+    p, w = _good_prime(k)
+    assert 2**61 < p < 2**61 + 1000 and _is_prime(p)
+    assert w * w % p == -k % p
+    assert _good_prime(k) is _good_prime(k)  # cached per k
+    if k == 1:
+        assert p % 4 == 1  # -1 is never a square mod a prime p = 3 mod 4
+
+
+def test_gcd_degree_mod_examples():
+    # (t - 1)^2 (t + 2) and its derivative share t - 1 over F_13
+    f = [2, -3 % 13, 0, 1]
+    assert _gcd_degree_mod(f, [10, 0, 3], 13) == 1
+    assert _gcd_degree_mod([1, 0, 1], [0, 2], 13) == 0
+    assert _gcd_degree_mod([1, 2, 1], [], 13) == 2  # gcd(f, 0) = f
+
+
+def _poly(k: int, *coeffs) -> ImQuadPoly:
+    return ImQuadPoly.from_coeffs(list(coeffs), k)
+
+
+def _mul(*polys: ImQuadPoly) -> ImQuadPoly:
+    acc = ImQuadPoly.constant(1, polys[0].k)
+    for p in polys:
+        acc = acc * p
+    return acc
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_certified_squarefree_is_one_sided(k):
+    w = omega(k)
+    p_good, _ = _good_prime(k)
+    line = _poly(k, 2, 1)  # t + 2
+    simple = _mul(_poly(k, -1, 1), _poly(k, w, 1), line)
+    assert _certified_squarefree(simple)
+    assert _certified_squarefree(_poly(k, Fraction(3, 7), w, Fraction(-1, 2)))
+    # a double root: a gcd of degree 1 mod p is no certificate
+    assert not _certified_squarefree(_mul(_poly(k, -1, 1), _poly(k, -1, 1), line))
+    # (t - omega)^2 = t^2 - 2 omega t - k reduces to a square only when w^2 = -k
+    assert not _certified_squarefree(_mul(_poly(k, -w, 1), _poly(k, -w, 1)))
+    # (P t - 1)^2 (t + 2) reduces to t + 2, squarefree, but the degree dropped
+    drop = _poly(k, -1, p_good)
+    assert not _certified_squarefree(_mul(drop, drop, line))
+    # p divides a denominator: no image at all
+    assert not _certified_squarefree(_poly(k, Fraction(1, p_good), 0, 1))
+    assert squarefree_decomposition(_poly(k, Fraction(1, p_good), 0, 1))[0][1] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_is_root_falls_back_to_exact_evaluation(k):
+    w = omega(k)
+    p_good, _ = _good_prime(k)
+    f = _mul(_poly(k, -w, 1), _poly(k, Fraction(-1, 3), 1))  # roots omega and 1/3
+    assert _is_root(f, w) and _is_root(f, ImQuadElement.from_rational(Fraction(1, 3), k))
+    assert not _is_root(f, ImQuadElement.from_rational(2, k))
+    # t = P + 1/3 agrees with the root 1/3 mod P, so only the exact value decides
+    assert not _is_root(f, ImQuadElement.from_rational(p_good + Fraction(1, 3), k))
+    # denominators divisible by P have no image
+    g = _poly(k, Fraction(-1, p_good), 1)
+    assert _is_root(g, ImQuadElement.from_rational(Fraction(1, p_good), k))
+    assert not _is_root(g, ImQuadElement.from_rational(Fraction(2, p_good), k))
+    assert not _is_root(f, ImQuadElement(Fraction(1, p_good), 1, k))

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdist.exactnum import ImQuadElement, ImQuadPoly, poly_gcd, squarefree_decomposition
+from ratdist.exactnum import (
+    ImQuadElement,
+    ImQuadPoly,
+    _good_prime,
+    _is_prime,
+    poly_gcd,
+    squarefree_decomposition,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -77,3 +84,19 @@ def test_squarefree_decomposition_matches_sympy(p):
     _, want = to_sympy(p).sqf_list()
     got = {(to_sympy(f), m) for f, m in squarefree_decomposition(p)}
     assert got == {(f.monic(), m) for f, m in want}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64))
+def test_is_prime_matches_sympy(n):
+    assert _is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_good_prime_matches_sympy(k):
+    q = sympy.nextprime(2**61)
+    while sympy.legendre_symbol(-k % q, q) != 1:
+        q = sympy.nextprime(q)
+    p, w = _good_prime(k)
+    assert p == q
+    assert w in {int(r) for r in sympy.sqrt_mod(-k % q, q, all_roots=True)}

@@ -405,6 +405,19 @@ def test_spot_check_rejects_the_zero_vector():
             jacobian_spot_check(RECT_SYS, (zero,) * 7)
 
 
+def test_spot_check_rejects_coordinates_from_another_field():
+    # ImQuadElement(1, 1, 2) squares omega to -2; on the k = 1 system it used
+    # to return {"on_surface": False, "rank": 4, "smooth": False}
+    assert RECT_SYS.k == 1
+    with pytest.raises(SurfaceliftError, match="field"):
+        jacobian_spot_check(RECT_SYS, (ImQuadElement(1, 1, 2),) * 7)
+    mixed = (ImQuadElement(1, 1, 2),) + (F(1),) * 6
+    with pytest.raises(SurfaceliftError, match="field"):
+        jacobian_spot_check(RECT_SYS, mixed)
+    same = (ImQuadElement(1, 1, 1),) + (F(1),) * 6
+    assert jacobian_spot_check(RECT_SYS, same) == oracle_jacobian_spot_check(RECT_SYS, same)
+
+
 def oracle_jacobian_spot_check(system: QuadricSystem, coords) -> dict:
     """The full m x (m+3) Jacobian of the m quadrics, row-reduced by _rank."""
     k = system.k

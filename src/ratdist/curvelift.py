@@ -23,7 +23,11 @@ of a triple's six lines only three are restricted and decomposed.
 Both root questions go mod the good prime of exactnum first: a
 restriction certified squarefree there has only simple roots, and a
 crossing where the reduced restriction does not vanish is off the curve.
-Exact Yun and exact evaluation settle only what the prime leaves open.
+A restriction with repeated roots is split by Yun mod the prime under
+omega -> w and omega -> -w; each factor's coefficients are rebuilt in
+Q(omega) from the two images, and the factors count only when an exact
+product gives back the restriction.  Exact Yun and exact evaluation settle
+only what the prime leaves open.
 
 The selection routine picks a triple of base points whose six isotropic
 lines meet the curve transversely at enough points for the double cover
@@ -42,8 +46,8 @@ from math import comb, lcm
 from .exactnum import (
     ImQuadElement,
     ImQuadPoly,
-    _certified_squarefree,
     _is_root,
+    _modular_root_multiplicities,
     format_rational,
     omega,
     parse_int,
@@ -157,6 +161,9 @@ class PlaneCurve:
 
     @classmethod
     def from_coeffs(cls, coeffs: dict) -> "PlaneCurve":
+        for exps in coeffs:
+            if min(exps) < 0:
+                raise CurveliftError(f"curve exponents must be >= 0, got {exps}")
         norm = _poly_norm(coeffs.items())
         if not norm:
             raise CurveliftError("curve polynomial must be nonzero")
@@ -191,10 +198,12 @@ class PlaneCurve:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlaneCurve":
-        coeffs = {
-            (parse_int(m["i"]), parse_int(m["j"]), parse_int(m["k"])): parse_rational(m["c"])
-            for m in d["monomials"]
-        }
+        coeffs: dict[tuple[int, int, int], Fraction] = {}
+        for m in d["monomials"]:
+            exps = (parse_int(m["i"]), parse_int(m["j"]), parse_int(m["k"]))
+            if exps in coeffs:
+                raise CurveliftError(f"repeated monomial exponents {exps}")
+            coeffs[exps] = parse_rational(m["c"])
         curve = cls.from_coeffs(coeffs)
         if "degree" in d and parse_int(d["degree"]) != curve.degree:
             raise CurveliftError(
@@ -335,11 +344,13 @@ def transversality_report(
 
 
 def _root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
-    # (multiplicity, number of roots) pairs of a nonzero polynomial.  Most
-    # restrictions are squarefree, which one gcd mod a good prime certifies;
-    # the rest, and any the prime cannot decide, go through exact Yun
-    if p.degree >= 1 and _certified_squarefree(p):
-        return ((1, p.degree),)
+    # (multiplicity, number of roots) pairs of a nonzero polynomial.  Mod the
+    # good prime, one gcd certifies most restrictions squarefree; the rest are
+    # split by Yun under omega -> w and omega -> -w, their factors rebuilt in
+    # Q(omega) from the two images and certified by an exact product.  Exact
+    # Yun runs only where the prime decides nothing
+    if p.degree >= 1 and (certified := _modular_root_multiplicities(p)) is not None:
+        return certified
     by_mult: dict[int, int] = {}
     for factor, mult in squarefree_decomposition(p):
         by_mult[mult] = by_mult.get(mult, 0) + factor.degree

@@ -7,23 +7,33 @@ decomposition of rationals, and univariate polynomial arithmetic over
 Q(omega) with omega^2 = -k, including monic gcd and Yun squarefree
 decomposition.
 
-Two private one-sided certificates let callers skip the Fraction work in
-the common case.  Each k gets one good prime p > 2^61 with -k a square
-mod p, and a root w of w^2 = -k mod p; omega -> w maps every element of
-Q(omega) whose denominators p does not divide into F_p, and this map is a
-ring homomorphism.  So a polynomial whose image keeps its degree and is
-coprime to its derivative is squarefree, and a polynomial whose image
-does not vanish at the image of t does not vanish at t.  When the image
-says nothing (p divides a denominator, the degree drops, the gcd mod p is
-not 1, the value mod p is 0), exact arithmetic decides: ``_is_root``
-evaluates in Q(omega), and ``_certified_squarefree`` returns False so that
-its caller runs Yun.
+Private modular certificates let callers skip the Fraction work in the
+common case.  Each k gets one good prime p > 2^61 with -k a square mod p,
+and a root w of w^2 = -k mod p; omega -> w maps every element of Q(omega)
+whose denominators p does not divide into F_p, and this map is a ring
+homomorphism.  So a polynomial whose image keeps its degree and is coprime
+to its derivative is squarefree, and a polynomial whose image does not
+vanish at the image of t does not vanish at t.  ``_is_root`` evaluates in
+Q(omega) whenever the image says nothing.
+
+``_modular_root_multiplicities`` also splits polynomials with repeated
+roots.  Yun's algorithm runs in F_p[t] under omega -> w and under
+omega -> -w (the same prime with the conjugate root), and the factors of
+each multiplicity must have the same degrees under both.  A coefficient
+re + im*omega of a monic factor has the images u = re + im*w and
+v = re - im*w, so re = (u + v)/2 and im = (u - v)/(2w) mod p, and rational
+reconstruction bounded by sqrt(p/2) lifts each to Q.  The lifted factors
+a_i count only when each is squarefree mod p, they are pairwise coprime
+mod p, and lc(f) * prod a_i^i equals f exactly; the squarefree
+decomposition is unique, so the multiplicities are then exact.  Any
+failure returns None, and the caller runs exact Yun.
 
 All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -524,39 +534,141 @@ def _reduce_poly(poly: ImQuadPoly, p: int, w: int) -> list[int] | None:
     return out
 
 
-def _gcd_degree_mod(a: list[int], b: list[int], p: int) -> int:
-    # degree of gcd(a, b) in F_p[t], coefficients lowest first
-    def trim(f: list[int]) -> list[int]:
-        while f and f[-1] == 0:
-            f.pop()
-        return f
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
-    a, b = trim(list(a)), trim(list(b))
+
+def _derivative_mod(f: list[int], p: int) -> list[int]:
+    return _trim([i * c % p for i, c in enumerate(f)][1:])
+
+
+def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    # quotient and remainder of a by the nonzero b in F_p[t], coefficients lowest first
+    a = _trim(list(a))
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        c = a[-1] * inv % p
+        shift = len(a) - 1 - db
+        quot[shift] = c
+        for j, v in enumerate(b):
+            a[shift + j] = (a[shift + j] - c * v) % p
+        _trim(a)
+    return quot, a
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    # monic gcd of a and b, not both zero, in F_p[t]
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        while len(a) > db:
-            c = a[-1] * inv % p
-            shift = len(a) - 1 - db
-            for j, v in enumerate(b):
-                a[shift + j] = (a[shift + j] - c * v) % p
-            trim(a)
-        a, b = b, a
-    return len(a) - 1
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _certified_squarefree(poly: ImQuadPoly) -> bool:
-    """True only when poly, of degree >= 1, is squarefree over Q(omega).
+def _sub_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
 
-    The image f of poly mod the good prime keeps poly's degree, and
-    deg gcd(f, f') = 0; then the discriminant of poly reduces to a nonzero
-    value, so it is nonzero.  False proves nothing.
+
+def _yun_mod(f: list[int], p: int) -> list[list[int]]:
+    """Yun's algorithm in F_p[t]: monic a_1, a_2, ... with f = lc(f) * prod a_i^i,
+    each squarefree and pairwise coprime, when p > deg f.  At most deg f steps,
+    so it ends for any p; callers certify what it returns."""
+    df = _derivative_mod(f, p)
+    g = _gcd_mod(f, df, p)
+    b, c = _divmod_mod(f, g, p)[0], _divmod_mod(df, g, p)[0]
+    d = _sub_mod(c, _derivative_mod(b, p), p)
+    out = []
+    for _ in range(len(f) - 1):
+        if len(b) < 2:
+            break
+        a = _gcd_mod(b, d, p)
+        out.append(a)
+        b, c = _divmod_mod(b, a, p)[0], _divmod_mod(d, a, p)[0]
+        d = _sub_mod(c, _derivative_mod(b, p), p)
+    return out
+
+
+def _rational_reconstruct(a: int, p: int) -> Fraction | None:
+    """The fraction n/d with n = a*d mod p and |n|, d <= sqrt(p/2), or None.
+
+    Two such fractions n/d and n'/d' are equal: p divides n*d' - n'*d, whose
+    absolute value is at most 2*(p//2) < p.  The half-extended Euclidean
+    algorithm finds it (Wang, Guy and Davenport, 1982).
+    """
+    bound = isqrt(p // 2)
+    r0, r1, t0, t1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _certified_decomposition(poly: ImQuadPoly, factors: list[tuple[ImQuadPoly, int]]) -> bool:
+    """True only when the (a, i) pairs, with distinct i, are the squarefree
+    decomposition of poly: poly = lc(poly) * prod a^i exactly, and each a is
+    squarefree and the a are pairwise coprime.  The last two are read mod the
+    good prime, where each a must keep its degree; a common factor, or a
+    repeated one, over Q(omega) would persist there.  By uniqueness of the
+    squarefree decomposition, poly then has exactly deg a roots of
+    multiplicity i, for each pair.
+    """
+    p, w = _good_prime(poly.k)
+    images = [_reduce_poly(a, p, w) for a, _ in factors]
+    for f in images:
+        if f is None or f[-1] == 0 or len(_gcd_mod(f, _derivative_mod(f, p), p)) > 1:
+            return False
+    if any(len(_gcd_mod(f, g, p)) > 1 for f, g in itertools.combinations(images, 2)):
+        return False
+    product = ImQuadPoly.constant(poly.leading(), poly.k)
+    for a, i in factors:
+        for _ in range(i):
+            product = product * a
+    return product == poly
+
+
+def _modular_root_multiplicities(poly: ImQuadPoly) -> tuple[tuple[int, int], ...] | None:
+    """(multiplicity, number of roots) pairs of poly, of degree >= 1, or None.
+
+    The image f of poly under omega -> w must keep its degree.  gcd(f, f') = 1
+    certifies poly squarefree; otherwise the factors that Yun finds mod p
+    under omega -> w and omega -> -w are rebuilt in Q(omega) and certified,
+    as the module docstring sets out.  None proves nothing.
     """
     p, w = _good_prime(poly.k)
     f = _reduce_poly(poly, p, w)
     if f is None or f[-1] == 0:
-        return False
-    return _gcd_degree_mod(f, [i * c % p for i, c in enumerate(f)][1:], p) == 0
+        return None
+    if len(_gcd_mod(f, _derivative_mod(f, p), p)) == 1:
+        return ((1, poly.degree),)
+    g = _reduce_poly(poly, p, p - w)  # p divides no denominator, as f exists
+    if g[-1] == 0:
+        return None
+    split, conjugate = _yun_mod(f, p), _yun_mod(g, p)
+    if [len(a) for a in split] != [len(a) for a in conjugate]:
+        return None
+    half, half_over_w = pow(2, -1, p), pow(2 * w, -1, p)
+    factors = []
+    for i, (a, b) in enumerate(zip(split, conjugate), 1):
+        if len(a) == 1:
+            continue
+        coeffs = []
+        for u, v in zip(a, b):
+            real = _rational_reconstruct((u + v) * half, p)
+            imag = _rational_reconstruct((u - v) * half_over_w, p)
+            if real is None or imag is None:
+                return None
+            coeffs.append(ImQuadElement(real, imag, poly.k))
+        factors.append((ImQuadPoly(tuple(coeffs), poly.k), i))
+    if not _certified_decomposition(poly, factors):
+        return None
+    return tuple((i, a.degree) for a, i in factors)
 
 
 def _is_root(poly: ImQuadPoly, t: ImQuadElement) -> bool:

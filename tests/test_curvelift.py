@@ -12,7 +12,10 @@ from ratdist import exactnum
 from ratdist.exactnum import (
     ImQuadElement,
     ImQuadPoly,
+    _is_prime,
     _is_root,
+    _modular_root_multiplicities,
+    _rational_reconstruct,
     _sqrt_mod,
     omega,
     squarefree_decomposition,
@@ -407,6 +410,15 @@ def test_curve_json_degree_mismatch():
         PlaneCurve.from_dict(d)
 
 
+def test_curve_rejects_negative_and_repeated_exponents():
+    with pytest.raises(CurveliftError, match=">= 0"):
+        PlaneCurve.from_coeffs({(4, -1, 0): F(1)})
+    # x - x is not the curve -x: a repeated triple is an error, not a last write
+    x, minus_x = {"i": 1, "j": 0, "k": 0, "c": "1"}, {"i": 1, "j": 0, "k": 0, "c": "-1"}
+    with pytest.raises(CurveliftError, match="repeated"):
+        PlaneCurve.from_dict({"monomials": [x, minus_x]})
+
+
 def test_cover_json_shape():
     cands = candidates((0, 1), (0, -1), (0, 2), (1, 1), (2, 5))
     sel = choose_transverse_triple(X_AXIS, cands)
@@ -794,19 +806,32 @@ def oracle_root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
 SMALL_GOOD_PRIMES = {1: 13, 3: 13, 2: 11, 7: 11}
 
 
+def _least_good_prime_above(n: int, k: int) -> int:
+    p = n + 1
+    while not (_is_prime(p) and pow(-k % p, (p - 1) // 2, p) == 1):
+        p += 1
+    return p
+
+
+# reconstruction is bounded by sqrt(p/2) ~ 724 here: drawn factors often fit,
+# and a coefficient that does not is often taken for a wrong small fraction
+MID_GOOD_PRIMES = {k: _least_good_prime_above(2**20, k) for k in (1, 2, 3, 7)}
+
+
 @contextlib.contextmanager
-def good_primes(small: bool):
-    """Run with the real good primes, or with SMALL_GOOD_PRIMES, under which
-    denominators, leading coefficients, gcds and values vanish mod p often
-    enough to send most inputs down the exact fallback."""
+def good_primes(primes: dict | None):
+    """Run with the real good primes, or with a table of smaller ones.  Under
+    SMALL_GOOD_PRIMES, denominators, leading coefficients, gcds and values
+    vanish mod p often enough to send most inputs down the exact fallback."""
     with pytest.MonkeyPatch.context() as mp:
-        if small:
-            mp.setattr(
-                exactnum,
-                "_good_prime",
-                lambda k: (SMALL_GOOD_PRIMES[k], _sqrt_mod(-k, SMALL_GOOD_PRIMES[k])),
-            )
+        if primes:
+            mp.setattr(exactnum, "_good_prime", lambda k: (primes[k], _sqrt_mod(-k, primes[k])))
         yield
+
+
+PRIMES = pytest.mark.parametrize(
+    "primes", [None, MID_GOOD_PRIMES, SMALL_GOOD_PRIMES], ids=["good prime", "mid prime", "small prime"]
+)
 
 
 # denominators 11 and 13 are the small primes; numerators 143 = 11*13 zero a coefficient mod both
@@ -815,9 +840,12 @@ CERT_RATIONALS = st.builds(
 )
 
 
+def cert_elements(k: int):
+    return st.builds(lambda a, b: ImQuadElement(a, b, k), CERT_RATIONALS, CERT_RATIONALS)
+
+
 def cert_polys(k: int, lo: int, hi: int):
-    element = st.builds(lambda a, b: ImQuadElement(a, b, k), CERT_RATIONALS, CERT_RATIONALS)
-    return st.lists(element, min_size=lo + 1, max_size=hi + 1).map(
+    return st.lists(cert_elements(k), min_size=lo + 1, max_size=hi + 1).map(
         lambda cs: ImQuadPoly.from_coeffs(cs, k)
     ).filter(lambda p: p.degree >= lo)
 
@@ -827,15 +855,22 @@ def certificate_cases(draw):
     """A nonzero polynomial of degree <= 8 over Q(omega), k in {1, 2, 3, 7}:
     a line restriction of a drawn curve or of a g*h^2 curve, or a product
     g*h^2 of drawn polynomials, some with a leading coefficient that
-    vanishes mod the small good primes."""
+    vanishes mod the small good primes, some with two simple roots that
+    meet mod them."""
     k = draw(st.sampled_from([1, 2, 3, 7]))
-    kind = draw(st.sampled_from(["curve", "g*h^2 curve", "g*h^2", "g*h^2, h constant mod p"]))
+    kind = draw(st.sampled_from(
+        ["curve", "g*h^2 curve", "g*h^2", "g*h^2, h constant mod p", "g*h^2, roots of g meet mod p"]
+    ))
     if kind.startswith("g*h^2"):
         h = draw(cert_polys(k, 1, 3))
-        if kind.endswith("mod p"):  # h = c + 143*u*t reduces to the constant c
+        if kind.endswith("constant mod p"):  # h = c + 143*u*t reduces to the constant c
             c, u = draw(cert_polys(k, 0, 0)), draw(cert_polys(k, 0, 0))
             h = c + ImQuadPoly.from_coeffs([0, 143], k) * u
-        g = draw(cert_polys(k, 0, 8 - 2 * h.degree))
+        if kind.endswith("meet mod p"):  # g = (t - c)(t - c - 143) reduces to (t - c)^2
+            c = draw(cert_elements(k))
+            g = ImQuadPoly.from_coeffs([-c, 1], k) * ImQuadPoly.from_coeffs([-c - 143, 1], k)
+        else:
+            g = draw(cert_polys(k, 0, 8 - 2 * h.degree))
         if g.is_zero():
             g = ImQuadPoly.constant(1, k)
         return g * h * h
@@ -850,33 +885,32 @@ def certificate_cases(draw):
     return p if not p.is_zero() else ImQuadPoly.constant(1, k)
 
 
-@pytest.mark.parametrize("small", [False, True], ids=["good prime", "small prime"])
+@PRIMES
 @settings(max_examples=150, deadline=None)
 @given(certificate_cases())
-def test_root_multiplicities_match_yun(small, p):
-    with good_primes(small):
+def test_root_multiplicities_match_yun(primes, p):
+    with good_primes(primes):
         assert _root_multiplicities(p) == oracle_root_multiplicities(p)
 
 
-@pytest.mark.parametrize("small", [False, True], ids=["good prime", "small prime"])
+@PRIMES
 @settings(max_examples=150, deadline=None)
 @given(certificate_cases(), st.data())
-def test_modular_zero_test_matches_evaluation(small, p, data):
+def test_modular_zero_test_matches_evaluation(primes, p, data):
     k = p.k
-    element = st.builds(lambda a, b: ImQuadElement(a, b, k), CERT_RATIONALS, CERT_RATIONALS)
-    root, other = data.draw(element), data.draw(element)
+    root, other = data.draw(cert_elements(k)), data.draw(cert_elements(k))
     with_root = p * ImQuadPoly.from_coeffs([-root, 1], k)
-    with good_primes(small):
+    with good_primes(primes):
         assert _is_root(with_root, root)
         for poly in (p, with_root):
             for t in (root, other, root + SMALL_GOOD_PRIMES[k]):
                 assert _is_root(poly, t) == poly.evaluate(t).is_zero()
 
 
-@pytest.mark.parametrize("small", [False, True], ids=["good prime", "small prime"])
+@PRIMES
 @settings(max_examples=25, deadline=None)
 @given(curve_cases())
-def test_six_lines_under_either_prime_match_oracles(small, case):
+def test_six_lines_under_either_prime_match_oracles(primes, case):
     curve, triple, k = case
     if k not in SMALL_GOOD_PRIMES:
         return
@@ -886,11 +920,48 @@ def test_six_lines_under_either_prime_match_oracles(small, case):
         {line.parameter_of(*point) for point in points}
         for line, points in zip(lines, oracle_shared_curve_points(curve, lines))
     ]
-    with good_primes(small):
+    with good_primes(primes):
         assert _shared_curve_points(lines, polys) == want
         _lines, _polys, mults, shared = _restrict_six(curve, triple, k)
     assert shared == want
     assert mults == [None if p.is_zero() else oracle_root_multiplicities(p) for p in polys]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_mid_prime_reconstruction_succeeds_or_is_fooled(k):
+    # (t - c)^2 (t + 1): c = 1/3 comes back from its image, and the integer
+    # c = 1/3 mod P, far beyond the bound, is taken for 1/3, so the product
+    # check fails
+    p = MID_GOOD_PRIMES[k]
+    fooled = pow(3, -1, p)
+    for c, certified in ((F(1, 3), ((1, 1), (2, 1))), (F(fooled), None)):
+        f = ImQuadPoly.from_coeffs([-c, 1], k) * ImQuadPoly.from_coeffs([-c, 1], k)
+        f = f * ImQuadPoly.from_coeffs([1, 1], k)
+        with good_primes(MID_GOOD_PRIMES):
+            assert _rational_reconstruct(c.numerator * pow(c.denominator, -1, p), p) == F(1, 3)
+            assert _modular_root_multiplicities(f) == certified
+            assert _root_multiplicities(f) == oracle_root_multiplicities(f) == ((1, 1), (2, 1))
+
+
+X2Y = PlaneCurve.from_coeffs({(2, 1, 0): F(1)})  # x^2 y
+
+
+def _axis_points(offset: int) -> list[LatticePoint]:
+    return [pt(offset + t) for t in range(1, 9)] + [pt(0, offset + t) for t in range(1, 8)]
+
+
+@pytest.mark.parametrize("offset", [0, 2**40])
+def test_double_roots_on_the_axes_beyond_the_reconstruction_bound(offset):
+    # the isotropic line of each axis point meets x^2 y in a double root; its
+    # factor has a coefficient offset + t, which at 2^40 exceeds the bound
+    # sqrt(p/2) ~ 2^30 of reconstruction, so exact Yun decides there
+    for p in _axis_points(offset):
+        restriction = substitute_line(X2Y, IsotropicLine(p, 1))
+        assert _root_multiplicities(restriction) == oracle_root_multiplicities(restriction) == ((1, 1), (2, 1))
+        assert (_modular_root_multiplicities(restriction) is None) == (offset > 0)
+    with pytest.raises(HypothesisViolationError) as err:
+        choose_transverse_triple(X2Y, Configuration(1, tuple(_axis_points(offset))))
+    assert [s["reason"] for s in err.value.transcript] == ["multiple root"] * 15
 
 
 def _outcome_selection(curve, cands):
@@ -907,5 +978,5 @@ def test_greedy_crossing_skips_under_a_small_prime(seed):
     curve, cands = seeded_curve_case(seed)
     want = _outcome_selection(curve, cands)
     if cands.k in SMALL_GOOD_PRIMES:
-        with good_primes(True):
+        with good_primes(SMALL_GOOD_PRIMES):
             assert _outcome_selection(curve, cands) == want

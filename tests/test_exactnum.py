@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratdist.exactnum import (
-    _certified_squarefree,
-    _gcd_degree_mod,
+    _certified_decomposition,
+    _gcd_mod,
     _good_prime,
     _is_prime,
     _is_root,
+    _modular_root_multiplicities,
+    _rational_reconstruct,
     _sqrt_mod,
+    _yun_mod,
     ExactnumError,
     ImQuadElement,
     ImQuadPoly,
@@ -411,9 +414,19 @@ def test_good_prime_has_a_square_root_of_minus_k(k):
 def test_gcd_degree_mod_examples():
     # (t - 1)^2 (t + 2) and its derivative share t - 1 over F_13
     f = [2, -3 % 13, 0, 1]
-    assert _gcd_degree_mod(f, [10, 0, 3], 13) == 1
-    assert _gcd_degree_mod([1, 0, 1], [0, 2], 13) == 0
-    assert _gcd_degree_mod([1, 2, 1], [], 13) == 2  # gcd(f, 0) = f
+    assert _gcd_mod(f, [10, 0, 3], 13) == [12, 1]
+    assert _gcd_mod([1, 0, 1], [0, 2], 13) == [1]
+    assert _gcd_mod([2, 4, 2], [], 13) == [1, 2, 1]  # gcd(f, 0) = monic f
+
+
+def test_yun_mod_examples():
+    # 3 (t - 1)^2 (t + 2)^3 (t - 5) over F_13, each factor monic
+    f = [3]
+    for root, mult in ((1, 2), (-2, 3), (5, 1)):
+        for _ in range(mult):
+            f = [(a - root * b) % 13 for a, b in zip([0, *f], [*f, 0])]
+    assert _yun_mod(f, 13) == [[8, 1], [12, 1], [2, 1]]
+    assert _yun_mod([5, 1], 13) == [[5, 1]]
 
 
 def _poly(k: int, *coeffs) -> ImQuadPoly:
@@ -433,18 +446,76 @@ def test_certified_squarefree_is_one_sided(k):
     p_good, _ = _good_prime(k)
     line = _poly(k, 2, 1)  # t + 2
     simple = _mul(_poly(k, -1, 1), _poly(k, w, 1), line)
-    assert _certified_squarefree(simple)
-    assert _certified_squarefree(_poly(k, Fraction(3, 7), w, Fraction(-1, 2)))
-    # a double root: a gcd of degree 1 mod p is no certificate
-    assert not _certified_squarefree(_mul(_poly(k, -1, 1), _poly(k, -1, 1), line))
+    assert _modular_root_multiplicities(simple) == ((1, 3),)
+    assert _modular_root_multiplicities(_poly(k, Fraction(3, 7), w, Fraction(-1, 2))) == ((1, 2),)
+    # a double root: a gcd of degree 1 mod p is no squarefree certificate, Yun mod p splits it
+    assert _modular_root_multiplicities(_mul(_poly(k, -1, 1), _poly(k, -1, 1), line)) == ((1, 1), (2, 1))
     # (t - omega)^2 = t^2 - 2 omega t - k reduces to a square only when w^2 = -k
-    assert not _certified_squarefree(_mul(_poly(k, -w, 1), _poly(k, -w, 1)))
+    assert _modular_root_multiplicities(_mul(_poly(k, -w, 1), _poly(k, -w, 1))) == ((2, 1),)
     # (P t - 1)^2 (t + 2) reduces to t + 2, squarefree, but the degree dropped
     drop = _poly(k, -1, p_good)
-    assert not _certified_squarefree(_mul(drop, drop, line))
+    assert _modular_root_multiplicities(_mul(drop, drop, line)) is None
     # p divides a denominator: no image at all
-    assert not _certified_squarefree(_poly(k, Fraction(1, p_good), 0, 1))
+    assert _modular_root_multiplicities(_poly(k, Fraction(1, p_good), 0, 1)) is None
     assert squarefree_decomposition(_poly(k, Fraction(1, p_good), 0, 1))[0][1] == 1
+
+
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_rational_reconstruct_every_residue(p):
+    # every fraction within the bound comes back, and nothing outside it does
+    bound = floor_sqrt_oracle(p // 2)
+    small = {Fraction(n, d) for d in range(1, bound + 1) for n in range(-bound, bound + 1)}
+    for a in range(p):
+        q = _rational_reconstruct(a, p)
+        if q is None:
+            continue
+        assert abs(q.numerator) <= bound and q.denominator <= bound
+        assert q.numerator % p == a * q.denominator % p
+        small.discard(q)
+    assert not small
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_rational_reconstruct_at_the_good_prime(k):
+    p, _ = _good_prime(k)
+    for q in (Fraction(0), Fraction(-5), Fraction(3, 7), Fraction(-(2**30), 2**30 - 1)):
+        assert _rational_reconstruct(q.numerator * pow(q.denominator, -1, p), p) == q
+    # 2^40 exceeds the bound sqrt(p/2) ~ 2^30: no small preimage, or a wrong one
+    assert _rational_reconstruct(2**40, p) != 2**40
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_modular_yun_rebuilds_factors_off_the_real_line(k):
+    # factors with nonzero imaginary parts: the two images must be told apart
+    w = omega(k)
+    f = _mul(
+        _poly(k, Fraction(2, 5), -w, Fraction(3, 2)),
+        *[_poly(k, -w, 1)] * 2,
+        *[_poly(k, Fraction(1, 3) + 2 * w, 1)] * 3,
+        *[_poly(k, 5, Fraction(2, 7) * w, 1)] * 3,
+    )
+    assert _modular_root_multiplicities(f) == ((1, 2), (2, 1), (3, 3))
+    assert _modular_root_multiplicities(f.conjugate_coeffs()) == ((1, 2), (2, 1), (3, 3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_certified_decomposition_needs_every_condition(k):
+    w = omega(k)
+    a, b = _poly(k, -1, 1), _poly(k, w, 1)
+    cube = _mul(a, a, a)
+    assert _certified_decomposition(_mul(a, b, b).scale(3), [(a, 1), (b, 2)])
+    assert _certified_decomposition(cube, [(a, 3)])
+    # the product is right, but the factors share t - 1
+    assert not _certified_decomposition(cube, [(a, 1), (a, 2)])
+    # the product is right, but the factor is not squarefree
+    assert not _certified_decomposition(_mul(a, a), [(_mul(a, a), 1)])
+    # squarefree and coprime, but the product is not the polynomial
+    assert not _certified_decomposition(_mul(a, b, b), [(a, 2), (b, 1)])
+    assert not _certified_decomposition(_mul(a, b, b), [(a, 1), (b.scale(2), 2)])
+    # t - 1/P is squarefree, but it has no image mod P: no certificate
+    p_good, _ = _good_prime(k)
+    c = _poly(k, Fraction(-1, p_good), 1)
+    assert not _certified_decomposition(_mul(c, a, a), [(c, 1), (a, 2)])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
@@ -290,4 +290,55 @@ def test_fuzzed_search_gives_one_valid_result(validators, search_dir, args):
     if code == 0:
         validators["checkpoint.json"].validate(result["payload"])
         SearchCheckpoint.from_dict(result["payload"])
+    json.dumps(result)
+
+
+# cover through run(): curve JSON at the edges of docs/schemas/curve.json.
+# Exponents may be -1, exponent triples may repeat, coefficients may be 0,
+# the declared degree may be absent or off by one, and the curve's degree is
+# 0 to 3, so degree 0 and the conic (degree 2) are drawn.  The candidates
+# have zero coordinates, where a negative power of 0 has no value, and enough
+# points off a line for a degree-1 cover to succeed.
+COVER_POINTS = {
+    "k": 1,
+    "points": [{"x": x, "yc": y} for x, y in (("0", "0"), ("0", "1"), ("0", "-1"), ("3", "0"), ("1", "1"), ("2", "5"))],
+}
+
+
+@st.composite
+def cover_curves(draw):
+    d = draw(st.integers(0, 3))
+    coefficient = st.sampled_from(["0", "1", "-1", "2/3"])
+    monomials = []
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(-1, d + 1))
+        j = draw(st.integers(-1, d + 1 - i))
+        monomials.append({"i": i, "j": j, "k": d - i - j, "c": draw(coefficient)})
+    if draw(st.booleans()):
+        monomials.append({**draw(st.sampled_from(monomials)), "c": draw(coefficient)})
+    curve = {"monomials": draw(st.permutations(monomials))}
+    if draw(st.booleans()):
+        curve["degree"] = d + draw(st.sampled_from([0, 0, -1, 1]))
+    return curve
+
+
+@pytest.fixture(scope="module")
+def cover_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cover")
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve=cover_curves())
+@example(curve={"degree": 3, "monomials": [{"i": 4, "j": -1, "k": 0, "c": "1"}]})
+@example(curve={"monomials": [{"i": 1, "j": 0, "k": 0, "c": "1"}, {"i": 1, "j": 0, "k": 0, "c": "-1"}]})
+def test_fuzzed_cover_gives_one_valid_result(validators, cover_dir, curve):
+    path = cover_dir / "curve.json"
+    path.write_text(json.dumps(curve))
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(COVER_POINTS))):
+        result, code = run(["cover", "--curve", str(path), "-"])
+    validators["command_result.json"].validate(result)
+    assert code == {"ok": 0, "violation": 1, "error": 2}[result["status"]]
+    exponents = [(m["i"], m["j"], m["k"]) for m in curve["monomials"]]
+    if min(map(min, exponents)) < 0 or len(set(exponents)) < len(exponents):
+        assert code == 2
     json.dumps(result)

@@ -288,7 +288,7 @@ def build_parser() -> _Parser:
     add_config_arg(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("normalize", help="canonical lattice form via the distance matrix")
+    p = sub.add_parser("normalize", help="canonical frame: first two points to (0,0), (1,0)")
     add_config_arg(p)
     p.set_defaults(func=_cmd_normalize)
 

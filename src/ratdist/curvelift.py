@@ -446,7 +446,7 @@ def _require_distinct(triple: tuple[LatticePoint, LatticePoint, LatticePoint]) -
 
 
 def _restrict_six(
-    curve: PlaneCurve, triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int
+    curve: PlaneCurve, triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int, known: dict
 ) -> tuple[tuple[IsotropicLine, ...], list[ImQuadPoly], list, list[set[ImQuadElement]]]:
     """The six lines of the triple with, per line, the curve's restriction,
     its root multiplicities (None when the line lies in the curve) and the
@@ -455,14 +455,18 @@ def _restrict_six(
 
     The curve is rational, so its restriction to a conjugate line is the
     coefficient-wise conjugate of the restriction to the partner line, with
-    the same root multiplicities: only three lines are restricted.
+    the same root multiplicities: only three lines are restricted, fewer
+    when ``known`` maps base points to restrictions and multiplicities.
     """
     lines = six_lines(triple, k)
     polys: list[ImQuadPoly] = []
     mults: list = []
     for line in lines[::2]:
-        p = substitute_line(curve, line)
-        m = None if p.is_zero() else _root_multiplicities(p)
+        if line.base in known:
+            p, m = known[line.base]
+        else:
+            p = substitute_line(curve, line)
+            m = None if p.is_zero() else _root_multiplicities(p)
         polys += [p, p.conjugate_coeffs()]
         mults += [m, m]
     return lines, polys, mults, _shared_curve_points(lines, polys)
@@ -498,8 +502,12 @@ def count_transverse_union(
     Points on two of the six lines are excluded (the union is singular
     there, so the intersection with the curve cannot be transverse).
     """
+    return _count_transverse_union(curve, triple, k, {})
+
+
+def _count_transverse_union(curve, triple, k, known: dict):
     _require_distinct(triple)
-    lines, polys, mults, shared = _restrict_six(curve, triple, k)
+    lines, polys, mults, shared = _restrict_six(curve, triple, k, known)
     if None in mults:
         raise LineIsComponentError("line is a component of the curve")
     reports = tuple(
@@ -525,6 +533,7 @@ def choose_transverse_triple(
     k = candidates.k
     need = threshold(d)
     transcript: list[dict] = []
+    restricted: dict[LatticePoint, tuple[ImQuadPoly, tuple]] = {}
 
     if d == 1:
         pool = [p for p in candidates.points if not curve.contains(p)]
@@ -563,32 +572,32 @@ def choose_transverse_triple(
             raise ThresholdError(
                 f"need at least {need} points on the curve, have {len(pool)}"
             )
-        restricted: dict[LatticePoint, ImQuadPoly] = {}
         for p in pool:
             restriction = substitute_line(curve, IsotropicLine(p, k))
             if restriction.is_zero():
                 transcript.append({"step": "reject", "point": p.to_dict(), "reason": "line in curve"})
                 continue
-            if any(mult > 1 for mult, _ in _root_multiplicities(restriction)):
+            mults = _root_multiplicities(restriction)
+            if any(mult > 1 for mult, _ in mults):
                 transcript.append(
                     {"step": "reject", "point": p.to_dict(), "reason": "multiple root"}
                 )
                 continue
-            restricted[p] = restriction
+            restricted[p] = (restriction, mults)
         if not restricted:
             raise HypothesisViolationError(
                 "hypothesis violation: no candidate line meets the curve simply",
                 tuple(transcript),
             )
-        top = max(r.degree for r in restricted.values())
-        good = [p for p, r in restricted.items() if r.degree == top]
+        top = max(r.degree for r, _ in restricted.values())
+        good = [p for p, (r, _) in restricted.items() if r.degree == top]
         transcript.append({"step": "good-set", "size": len(good), "mu_estimate": d - top})
 
         def crossings_clear(a: LatticePoint, b: LatticePoint) -> bool:
             # neither mixed-family crossing of the lines of a and b is on the curve
             return not any(
                 _is_root(
-                    restricted[u],
+                    restricted[u][0],
                     _crossing_parameter(IsotropicLine(u, k), IsotropicLine(v, k, True)),
                 )
                 for u, v in ((a, b), (b, a))
@@ -611,7 +620,7 @@ def choose_transverse_triple(
 
     triple = (chosen[0], chosen[1], chosen[2])
     required = max(3 * (d - 2), 6)
-    count, _reports = count_transverse_union(curve, triple, k)
+    count, _reports = _count_transverse_union(curve, triple, k, restricted)
     transcript.append({"step": "verify", "transverse_points": count, "required": required})
     if count < required:
         raise HypothesisViolationError(
@@ -692,7 +701,7 @@ def build_double_cover(
 
     exact = smooth_curve is True or d == 1
     if exact:
-        _lines, polys, mults, shared = _restrict_six(curve, triple, k)
+        _lines, polys, mults, shared = _restrict_six(curve, triple, k, {})
         exact = None not in mults and all(p.degree == d for p in polys) and not any(shared)
     if exact:
         r_exact = sum(n for m in mults for mult, n in m if mult % 2 == 1)

@@ -5,8 +5,8 @@ the real point (x, yc*sqrt(k)) for the configuration's shared squarefree
 k >= 1.  With L the lcm of all coordinate denominators, (x, yc) = (X/L, Y/L)
 for integers X and Y, and every squared distance is N/L^2 for the integer
 N = (dX)^2 + k*(dY)^2, the square of a rational exactly when N is a perfect
-square.  Verification, the distance matrix, normalization's re-check and
-the collinearity/concyclicity audits all run on this one integer lattice,
+square.  Verification, the distance matrix, normalization and the
+collinearity/concyclicity audits all run on this one integer lattice,
 without any floating point.
 
 Configurations are immutable; every operation returns fresh values.
@@ -303,12 +303,31 @@ def embed_from_distances(m: DistanceMatrix, provenance: str = "embed_from_distan
     return Configuration(k, pts, provenance)
 
 
+def _normal_form(k: int, pts: list[tuple[int, int]], provenance: str) -> Configuration:
+    """Image of integer lattice points under z -> (z - p0)/(p1 - p0), z = X + Y*sqrt(-k).
+
+    Reflected when its first point off the x-axis is below it, with k = 1 when
+    all are on it.  Raises NotRdsMatrixError, one isqrt per pair, on a non-RDS.
+    """
+    for i, (x, y) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            sq = (pts[j][0] - x) ** 2 + k * (pts[j][1] - y) ** 2
+            if math.isqrt(sq) ** 2 != sq:
+                raise NotRdsMatrixError(f"pair ({i},{j}): {sq}/L^2 is not a rational square")
+    (ax, ay), (bx, by) = pts[0], pts[1]
+    ux, uy = bx - ax, by - ay
+    den = ux * ux + k * uy * uy  # |p1 - p0|^2; the image is (z - p0)*conj(p1 - p0)/den
+    image = [((x - ax) * ux + k * (y - ay) * uy, (y - ay) * ux - (x - ax) * uy) for x, y in pts]
+    sign = next((1 if y > 0 else -1 for _, y in image if y), 0)
+    points = tuple(LatticePoint(Fraction(x, den), Fraction(sign * y, den)) for x, y in image)
+    return Configuration(k if sign else 1, points, provenance)
+
+
 def normalize(c: Configuration) -> Configuration:
     """Canonical lattice form: first two points to (0,0), (1,0); idempotent."""
     if c.n < 2:
         raise PlanesetError("normalization needs at least two points")
-    # the embedding raises NotRdsMatrixError on the first irrational distance
-    return embed_from_distances(distance_matrix(c), provenance=c.provenance)
+    return _normal_form(c.k, integer_lattice(c.points)[1], c.provenance)
 
 
 def collinear(p1: LatticePoint, p2: LatticePoint, p3: LatticePoint) -> bool:

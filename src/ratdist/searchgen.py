@@ -12,11 +12,10 @@ bitset recursion (Bron & Kerbosch, CACM 1973).
 Complete sets are filtered by the requested general-position predicate and
 mapped to a canonical representative of their similarity class (first two
 points at (0,0) and (1,0), lexicographically minimal point order, reflection
-resolved by the sign rule of ``embed_from_distances``).  The representative
-is read off the winning similarity in integer coordinates, with no
-embedding; one ``isqrt`` per pair re-checks that the set is an RDS.  The
-canonical form determines the class, so finds are deduplicated on it
-directly.
+resolved by the sign rule of ``normalize``).  The representative is
+``normalize``'s integer image of the winning order, so one ``isqrt`` per
+pair re-checks that the set is an RDS.  The canonical form determines the
+class, so finds are deduplicated on it directly.
 
 Work is partitioned by the lowest grid index of a clique (its first-point
 cell), which is also the checkpoint granularity: checkpoints record
@@ -37,13 +36,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt
+from math import gcd
 
 from .exactnum import is_squarefree, parse_int, rational_sqrt
 from .planeset import (
     Configuration,
     LatticePoint,
-    NotRdsMatrixError,
+    _normal_form,
     audit_general_position,
     integer_lattice,
     verify_rds,
@@ -225,10 +224,10 @@ def grid_points(spec: SearchSpec) -> tuple[LatticePoint, ...]:
 def _admissible_order(rest: list[tuple[int, int, int]]) -> list[tuple[int, int, int]] | None:
     """Lexicographically least order of ``rest`` that the sign rule allows.
 
-    ``rest`` is sorted.  ``embed_from_distances`` gives the first point off
-    the x-axis a positive y, so no negative-y point may come before the
-    first positive-y one; the greedy answer defers exactly those.  Returns
-    None when points lie below the axis and none above it.
+    ``rest`` is sorted.  ``normalize`` gives the first point off the x-axis
+    a positive y, so no negative-y point may come before the first
+    positive-y one; the greedy answer defers exactly those.  Returns None
+    when points lie below the axis and none above it.
     """
     for pos, (_, y, _) in enumerate(rest):
         if y > 0:
@@ -262,10 +261,9 @@ def canonical_form(c: Configuration) -> Configuration:
     to (0,0) and (1,0); it is computed in integer coordinates, so for each
     ordered anchor pair and each reflection the best order of the remaining
     points is their sorted order, adjusted for the sign rule of
-    ``embed_from_distances``, in O(n^3 log n) steps overall.  The winning
-    similarity's integer image is the result, with k = 1 when every point
-    lands on the x-axis; nothing is embedded.  Every pair is re-checked with
-    one ``isqrt``, raising ``NotRdsMatrixError`` unless the input is an RDS.
+    ``normalize``, in O(n^3 log n) steps overall.  The result is
+    ``normalize`` of the winning order, so every pair is re-checked with one
+    ``isqrt``, raising ``NotRdsMatrixError`` unless the input is an RDS.
     """
     if c.n < 2:
         raise SearchgenError("canonical form needs at least two points")
@@ -291,26 +289,7 @@ def canonical_form(c: Configuration) -> Configuration:
                 if cand is not None and (best is None or _precedes(cand, den, best, best_den)):
                     best, best_den = cand, den
                     best_perm = (a, b, *(i for _, _, i in cand))
-    assert best is not None
-    ordered = [pts[i] for i in best_perm]
-    for i, (x, y) in enumerate(ordered):
-        for j in range(i + 1, len(ordered)):
-            # squared distance times L^2: a rational square iff a perfect square
-            sq = (ordered[j][0] - x) ** 2 + k * (ordered[j][1] - y) ** 2
-            if isqrt(sq) ** 2 != sq:
-                raise NotRdsMatrixError(
-                    f"not an RDS matrix: entry ({i},{j}) = {sq} is not a rational square"
-                )
-    zero, one = Fraction(0), Fraction(1)
-    return Configuration(
-        k if any(y for _, y, _ in best) else 1,
-        (
-            LatticePoint(zero, zero),
-            LatticePoint(one, zero),
-            *(LatticePoint(Fraction(x, best_den), Fraction(y, best_den)) for x, y, _ in best),
-        ),
-        provenance="canonical",
-    )
+    return _normal_form(k, [pts[i] for i in best_perm], "canonical")
 
 
 def _config_sort_key(c: Configuration) -> tuple:

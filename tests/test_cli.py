@@ -101,6 +101,21 @@ def test_generate_line_pipe_verify_and_normalize():
     assert result3["payload"]["points"][1] == {"x": "1", "yc": "0"}
 
 
+def test_normalize_large_k_rds(tmp_path):
+    # verify accepts this set; normalizing it must not factor its verticals
+    config = tmp_path / "large_k.json"
+    config.write_text(config_json(100003, [(0, 0), (10003700358, 0), (5001850179, 100019)]))
+    assert run(["verify", str(config)])[1] == 0
+    result, code = run(["normalize", str(config)])
+    assert code == 0
+    assert result["payload"]["k"] == 100003
+    assert result["payload"]["points"] == [
+        {"x": "0", "yc": "0"},
+        {"x": "1", "yc": "0"},
+        {"x": "1/2", "yc": "100019/10003700358"},
+    ]
+
+
 def test_invert_pipe_composition():
     code, result, proc = invoke(["invert", "--center", "0"], stdin_text=TRIANGLE)
     assert code == 0

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdist import exactnum
+from ratdist import curvelift, exactnum
 from ratdist.exactnum import (
     ImQuadElement,
     ImQuadPoly,
@@ -630,7 +630,7 @@ def test_substitute_line_matches_fraction_oracle(case, which, conjugate):
 @given(curve_cases())
 def test_six_lines_match_oracles(case):
     curve, triple, k = case
-    lines, polys, mults, shared = _restrict_six(curve, triple, k)
+    lines, polys, mults, shared = _restrict_six(curve, triple, k, {})
     oracle_polys = [oracle_substitute_line(curve, line) for line in lines]
     assert polys == oracle_polys
     oracle_points = oracle_shared_curve_points(curve, lines)
@@ -720,13 +720,17 @@ def oracle_greedy_picks(curve: PlaneCurve, candidates: Configuration):
 PARABOLA = {(0, 1, 1): F(1), (2, 0, 0): F(-1)}  # y z = x^2
 
 
-def test_choose_triple_skips_a_crossing_on_the_curve():
+def parabola_bisector_case() -> tuple[PlaneCurve, Configuration]:
     # the parabola times the bisector of (0,0) and (1,1): the line of each
     # crosses the conjugate line of the other on the bisector, so on the curve
-    a, b = pt(0, 0), pt(1, 1)
-    curve = PlaneCurve.from_coeffs(_poly_mul(PARABOLA, _bisector(a, b, 1)))
+    curve = PlaneCurve.from_coeffs(_poly_mul(PARABOLA, _bisector(pt(0, 0), pt(1, 1), 1)))
     ts = (0, 1, 2, -1, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7)
-    cands = Configuration(1, tuple(pt(t, t * t) for t in ts))
+    return curve, Configuration(1, tuple(pt(t, t * t) for t in ts))
+
+
+def test_choose_triple_skips_a_crossing_on_the_curve():
+    a, b = pt(0, 0), pt(1, 1)
+    curve, cands = parabola_bisector_case()
     assert not oracle_cross_clear(curve, a, b, 1)
     sel = choose_transverse_triple(curve, cands)
     assert sel.triple == (a, pt(2, 4), pt(-1, 1))
@@ -737,6 +741,22 @@ def test_choose_triple_skips_a_crossing_on_the_curve():
         ("pick", {"x": "-1", "yc": "1"}),
     ]
     assert sel.transverse_points == 12
+
+
+def test_choose_triple_reuses_the_greedy_restrictions(monkeypatch):
+    # the final count restricts none of the three chosen lines again: one
+    # restriction and one decomposition per on-curve candidate, 15 in all
+    curve, cands = parabola_bisector_case()
+    expected = choose_transverse_triple(curve, cands)
+    calls = {"substitute_line": 0, "_root_multiplicities": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(curvelift, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(curvelift, name, counted)
+    assert choose_transverse_triple(curve, cands) == expected
+    assert calls == {"substitute_line": 15, "_root_multiplicities": 15}
 
 
 def seeded_curve_case(seed: int) -> tuple[PlaneCurve, Configuration]:
@@ -922,7 +942,7 @@ def test_six_lines_under_either_prime_match_oracles(primes, case):
     ]
     with good_primes(primes):
         assert _shared_curve_points(lines, polys) == want
-        _lines, _polys, mults, shared = _restrict_six(curve, triple, k)
+        _lines, _polys, mults, shared = _restrict_six(curve, triple, k, {})
     assert shared == want
     assert mults == [None if p.is_zero() else oracle_root_multiplicities(p) for p in polys]
 

@@ -1,5 +1,6 @@
 """Tests for configurations, embedding, audits, and inversion."""
 
+import functools
 import itertools
 import time
 from fractions import Fraction
@@ -29,7 +30,7 @@ from ratdist.planeset import (
     verify_rds,
 )
 from ratdist.exactnum import rational_sqrt
-from ratdist.searchgen import generate_circle_rds, generate_line_rds
+from ratdist.searchgen import SearchSpec, canonical_form, generate_circle_rds, generate_line_rds, search
 
 F = Fraction
 
@@ -268,6 +269,104 @@ def test_normalize_requires_rds():
 def test_normalize_non_rds_raises_not_rds_matrix():
     with pytest.raises(NotRdsMatrixError):
         normalize(cfg(1, (0, 0), (1, 0), (0, 1)))
+
+
+# k = 100003 with squared verticals whose numerators have a prime factor
+# above the trial-division bound of squarefree_part
+LARGE_K_RDS = cfg(100003, (0, 0), (10003700358, 0), (5001850179, 100019))
+
+
+def test_normalize_large_k_rds_needs_no_factoring():
+    assert verify_rds(LARGE_K_RDS).is_rds
+    out = normalize(LARGE_K_RDS)
+    assert out.k == 100003
+    assert out.points == (pt(0, 0), pt(1, 0), LatticePoint(F(1, 2), F(100019, 10003700358)))
+    assert normalize(out) == out
+
+
+# ---------------------------------------------------------------------------
+# normalize against the embedding of its distance matrix
+
+
+SIMILARITY_KS = (1, 2, 3, 5, 6, 7)
+
+
+@functools.cache
+def search_finds(k: int) -> tuple[Configuration, ...]:
+    specs = (SearchSpec(k, 4, 1, 3), SearchSpec(k, 3, 1, 4))
+    return tuple(c for spec in specs for c in search(spec).found)
+
+
+@st.composite
+def similar_rds(draw, max_n=6):
+    """A search find or a circle/line fixture under a random similarity.
+
+    The similarity is z -> s*z + t, or s*conj(z) + t, with
+    z = x + yc*sqrt(-k) and s = r*w^2 for w = a + b*sqrt(-k), so |s| = r*|w|^2
+    is rational and every distance stays rational.  The image is shuffled
+    and sometimes inverted; sometimes one point is then moved by a small
+    offset, which mostly breaks the RDS property.
+    """
+    k = draw(st.sampled_from(SIMILARITY_KS))
+    family = draw(st.sampled_from(["search", "circle", "line"]))
+    if family == "search":
+        # a collinear find comes back with k = 1 but is an RDS in every lattice
+        base = draw(st.sampled_from(search_finds(k))).points
+    elif family == "circle":
+        k, base = 1, generate_circle_rds(draw(st.integers(2, max_n))).points
+    else:
+        offsets = draw(
+            st.lists(st.fractions(-5, 5, max_denominator=4), min_size=2, max_size=max_n, unique=True)
+        )
+        base = generate_line_rds(len(offsets), offsets).points
+    a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+    wx, wy = a * a - k * b * b, 2 * a * b
+    r = draw(st.fractions(F(1, 9), 9, max_denominator=9).filter(bool))
+    tx, ty = draw(st.tuples(*[st.fractions(-5, 5, max_denominator=6)] * 2))
+    sign = draw(st.sampled_from((1, -1)))
+    moved = [
+        LatticePoint(r * (wx * p.x - k * wy * sign * p.yc) + tx, r * (wx * sign * p.yc + wy * p.x) + ty)
+        for p in base
+    ]
+    c = Configuration(k, tuple(draw(st.permutations(moved))), draw(st.sampled_from(["", "drawn"])))
+    if draw(st.booleans()):
+        c = invert(c, draw(st.integers(0, c.n - 1)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, c.n - 1))
+        dx, dy = draw(st.tuples(st.integers(0, 3), st.integers(0, 2)).filter(any))
+        moved_point = LatticePoint(c.points[i].x + F(dx, 2), c.points[i].yc + dy)
+        if moved_point not in c.points:
+            c = Configuration(k, c.points[:i] + (moved_point,) + c.points[i + 1 :], c.provenance)
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(similar_rds())
+def test_normalize_matches_the_embedding_of_its_distance_matrix(c):
+    def embedded():
+        return embed_from_distances(distance_matrix(c), provenance=c.provenance)
+
+    if verify_rds(c).is_rds:
+        assert normalize(c) == embedded()
+    else:
+        with pytest.raises(NotRdsMatrixError):
+            normalize(c)
+        with pytest.raises(NotRdsMatrixError):
+            embedded()
+
+
+@settings(max_examples=60, deadline=None)
+@given(similar_rds(max_n=5))
+def test_canonical_form_is_the_least_normalize_over_orderings(c):
+    if not verify_rds(c).is_rds:
+        with pytest.raises(NotRdsMatrixError):
+            canonical_form(c)
+        return
+    forms = [
+        normalize(Configuration(c.k, tuple(c.points[i] for i in perm), "canonical"))
+        for perm in itertools.permutations(range(c.n))
+    ]
+    assert canonical_form(c) == min(forms, key=lambda f: tuple((p.x, p.yc) for p in f.points))
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,17 @@ The selection routine picks a triple of base points whose six isotropic
 lines meet the curve transversely at enough points for the double cover
 w^2 = q1*q2*q3 on f = 0 to have the expected ramification; the cover's
 genus is reported exactly when the branch points can be certified affine,
-simple, and unshared, and as the generic interval otherwise.
+simple, and unshared, and as the generic interval otherwise.  A selection
+keeps the restrictions that its count verified, and the cover of that
+selection reuses them.  The branch sextic is multiplied in integers: with
+a base point (A/D, B/D), D^2*q = (Dx - Az)^2 + k*(Dy - Bz)^2 has integer
+coefficients, and each monomial of the product is divided once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -54,7 +58,7 @@ from .exactnum import (
     parse_rational,
     squarefree_decomposition,
 )
-from .planeset import Configuration, LatticePoint
+from .planeset import Configuration, LatticePoint, integer_lattice
 
 
 class CurveliftError(ValueError):
@@ -104,14 +108,6 @@ def _poly_norm(items) -> dict:
     return out
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    return _poly_norm(
-        ((ip + iq, jp + jq, lp + lq), cp * cq)
-        for (ip, jp, lp), cp in p.items()
-        for (iq, jq, lq), cq in q.items()
-    )
-
-
 def _poly_diff(p: dict, axis: int) -> dict:
     out = []
     for exps, c in p.items():
@@ -146,6 +142,36 @@ def quadric_polynomial(base: LatticePoint, k: int) -> dict:
             ((0, 0, 2), a * a + k * b * b),
         ]
     )
+
+
+def _branch_sextic(
+    triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int
+) -> tuple[tuple[int, int, int, Fraction], ...]:
+    """The sorted monomials of q1*q2*q3, q the distance quadric of each point.
+
+    With (a, b) = (A/D, B/D), D^2*q = (Dx - Az)^2 + k*(Dy - Bz)^2 has integer
+    coefficients, so the three integer quadrics are multiplied and each
+    monomial is divided once by the product of the D^2.
+    """
+    product = {(0, 0, 0): 1}
+    scale = 1
+    for p in triple:
+        d, [(a, b)] = integer_lattice((p,))
+        quadric = (
+            ((2, 0, 0), d * d),
+            ((1, 0, 1), -2 * a * d),
+            ((0, 2, 0), k * d * d),
+            ((0, 1, 1), -2 * k * b * d),
+            ((0, 0, 2), a * a + k * b * b),
+        )
+        out: dict[tuple[int, int, int], int] = {}
+        for (i, j, l), c in product.items():
+            for (u, v, w), e in quadric:
+                key = (i + u, j + v, l + w)
+                out[key] = out.get(key, 0) + c * e
+        product = out
+        scale *= d * d
+    return tuple(sorted((i, j, l, Fraction(c, scale)) for (i, j, l), c in product.items() if c))
 
 
 @dataclass(frozen=True)
@@ -276,9 +302,7 @@ def substitute_line(curve: PlaneCurve, line: IsotropicLine) -> ImQuadPoly:
     (re, im) int pairs, and t^n has coefficient G_n*D^n / (M*D^d).
     """
     k, d = line.k, curve.degree
-    a, b = line.base.x, line.base.yc
-    den = lcm(a.denominator, b.denominator)
-    big_a, big_b = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    den, [(big_a, big_b)] = integer_lattice((line.base,))
     m = lcm(*(c.denominator for *_, c in curve.monomials))
     den_pow = [den**n for n in range(d + 1)]
     # (B + tau)^j, and per x-degree i the sum of C*D^l*(B + tau)^j over the monomials
@@ -424,6 +448,10 @@ class TripleSelection:
     transverse_points: int
     required_points: int
     transcript: tuple[dict, ...]
+    # the curve and, per point of the triple, the restriction to its line and
+    # the root multiplicities that the count verified; build_double_cover
+    # reuses them for the same curve.  Not part of the selection's value
+    verified: "tuple[PlaneCurve, dict] | None" = field(default=None, compare=False, repr=False)
 
     def lines(self) -> tuple[IsotropicLine, ...]:
         return six_lines(self.triple, self.k)
@@ -457,6 +485,7 @@ def _restrict_six(
     coefficient-wise conjugate of the restriction to the partner line, with
     the same root multiplicities: only three lines are restricted, fewer
     when ``known`` maps base points to restrictions and multiplicities.
+    Those computed here are added to ``known``.
     """
     lines = six_lines(triple, k)
     polys: list[ImQuadPoly] = []
@@ -467,6 +496,7 @@ def _restrict_six(
         else:
             p = substitute_line(curve, line)
             m = None if p.is_zero() else _root_multiplicities(p)
+            known[line.base] = (p, m)
         polys += [p, p.conjugate_coeffs()]
         mults += [m, m]
     return lines, polys, mults, _shared_curve_points(lines, polys)
@@ -627,7 +657,8 @@ def choose_transverse_triple(
             f"hypothesis violation: {count} transverse points, need {required}",
             tuple(transcript),
         )
-    return TripleSelection(triple, k, count, required, tuple(transcript))
+    verified = (curve, {p: restricted[p] for p in triple})
+    return TripleSelection(triple, k, count, required, tuple(transcript), verified)
 
 
 @dataclass(frozen=True)
@@ -681,9 +712,12 @@ def build_double_cover(
     Anything else falls back to the interval bounds r in [6, 6d] and genus
     in [2, d^2 + 1].
     """
+    known: dict = {}
     if isinstance(triple, TripleSelection):
         if k is not None and k != triple.k:
             raise CurveliftError("conflicting field parameters for the cover")
+        if triple.verified is not None and triple.verified[0] == curve:
+            known = triple.verified[1]
         k = triple.k
         triple = triple.triple
     if k is None:
@@ -694,14 +728,11 @@ def build_double_cover(
     d = curve.degree
     threshold(d)  # rejects d < 1, and d = 2 with UseInversionFirstError
 
-    sextic = quadric_polynomial(triple[0], k)
-    for p in triple[1:]:
-        sextic = _poly_mul(sextic, quadric_polynomial(p, k))
-    sextic_mono = tuple(sorted((i, j, l, c) for (i, j, l), c in sextic.items()))
+    sextic = _branch_sextic(triple, k)
 
     exact = smooth_curve is True or d == 1
     if exact:
-        _lines, polys, mults, shared = _restrict_six(curve, triple, k, {})
+        _lines, polys, mults, shared = _restrict_six(curve, triple, k, known)
         exact = None not in mults and all(p.degree == d for p in polys) and not any(shared)
     if exact:
         r_exact = sum(n for m in mults for mult, n in m if mult % 2 == 1)
@@ -715,4 +746,4 @@ def build_double_cover(
     else:
         r = (6, 6 * d)
         genus = (2, d * d + 1)
-    return DoubleCoverCurve(curve, tuple(triple), k, sextic_mono, r, genus, exact)
+    return DoubleCoverCurve(curve, tuple(triple), k, sextic, r, genus, exact)

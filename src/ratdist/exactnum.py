@@ -5,7 +5,9 @@ always reduced, positive denominator); this module adds the number-theoretic
 helpers the geometry layers need: exact rational square roots, squarefree
 decomposition of rationals, and univariate polynomial arithmetic over
 Q(omega) with omega^2 = -k, including monic gcd and Yun squarefree
-decomposition.
+decomposition.  Polynomial products are summed in integers: each factor
+goes over one common denominator as (re, im) int pairs in Z[omega], and
+each coefficient of the product is divided once.
 
 Private modular certificates let callers skip the Fraction work in the
 common case.  Each k gets one good prime p > 2^61 with -k a square mod p,
@@ -38,7 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 class ExactnumError(ValueError):
@@ -255,6 +257,16 @@ def omega(k: int) -> ImQuadElement:
     return ImQuadElement(Fraction(0), Fraction(1), k)
 
 
+def _int_pairs(elements) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(RE, IM), ...]) with each element (RE + IM*omega)/L, L the lcm of
+    every denominator: the elements as integer pairs in Z[omega]."""
+    den = lcm(*(q.denominator for c in elements for q in (c.re, c.im)))
+    return den, [
+        (c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+        for c in elements
+    ]
+
+
 @dataclass(frozen=True)
 class ImQuadPoly:
     """Univariate polynomial over Q(omega), coefficients lowest degree first.
@@ -331,17 +343,28 @@ class ImQuadPoly:
         return ImQuadPoly(tuple(-c for c in self.coeffs), self.k)
 
     def __mul__(self, other: "ImQuadPoly") -> "ImQuadPoly":
+        """The product, summed in integers: each factor goes over one common
+        denominator as (re, im) int pairs, the convolution uses
+        (a + b*omega)(c + d*omega) = (ac - k*bd) + (ad + bc)*omega, and each
+        coefficient of the product is divided once.  Q(omega) is a field, so
+        the leading coefficient stays nonzero."""
         self._check_k(other)
         if self.is_zero() or other.is_zero():
             return ImQuadPoly.zero(self.k)
-        zero = ImQuadElement.from_rational(0, self.k)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        k = self.k
+        (p_den, p), (q_den, q) = _int_pairs(self.coeffs), _int_pairs(other.coeffs)
+        re = [0] * (len(p) + len(q) - 1)
+        im = [0] * len(re)
+        for i, (a, b) in enumerate(p):
+            if not (a or b):
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return ImQuadPoly.from_coeffs(out, self.k)
+            for j, (c, d) in enumerate(q, i):
+                re[j] += a * c - k * b * d
+                im[j] += a * d + b * c
+        den = p_den * q_den
+        return ImQuadPoly(
+            tuple(ImQuadElement(Fraction(u, den), Fraction(v, den), k) for u, v in zip(re, im)), k
+        )
 
     def scale(self, c: "ImQuadElement | Fraction | int") -> "ImQuadPoly":
         factor = c if isinstance(c, ImQuadElement) else ImQuadElement.from_rational(c, self.k)

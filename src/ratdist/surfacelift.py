@@ -10,8 +10,10 @@ points at infinity with multiplicity 2^(m-2) and discrepancy 3 - m, while
 K^2 = (m-3)^2 * 2^m.  A Jacobian spot check is provided to verify the
 classification against exact rank computations at small m.  A row with
 r_j != 0 is the only one with an entry in its column 3 + j, so only the
-3-column (x, y, z) block of the rows with r_j = 0 is row-reduced.
-Certificates are issued for m up to MAX_M.
+3-column (x, y, z) block of the rows with r_j = 0 is row-reduced, in
+integers: the point and the rows are scaled into Z[omega], and the rank
+comes from fraction-free elimination.  Certificates are issued for m up to
+MAX_M.
 """
 
 from __future__ import annotations
@@ -22,8 +24,16 @@ from fractions import Fraction
 from sys import maxsize
 from typing import NamedTuple
 
-from .exactnum import ImQuadElement, format_rational, omega, parse_int, parse_rational, rational_sqrt
-from .planeset import Configuration, LatticePoint, squared_distance
+from .exactnum import (
+    ImQuadElement,
+    _int_pairs,
+    format_rational,
+    omega,
+    parse_int,
+    parse_rational,
+    rational_sqrt,
+)
+from .planeset import Configuration, LatticePoint, integer_lattice, squared_distance
 
 # Largest m that certify_V accepts.  K^2 = (m-3)^2 * 2^m then has about
 # 1,240 digits, under Python's default 4,300-digit int-to-str limit.
@@ -359,24 +369,27 @@ def infinity_singular_points(sys: QuadricSystem) -> tuple[tuple[ImQuadElement, .
     return ((-w, one, zero) + tail, (w, one, zero) + tail)
 
 
-def _rank(rows: list[list[ImQuadElement]]) -> int:
+def _block_rank(rows: list[list[tuple[int, int]]], k: int) -> int:
+    """Rank of rows over Z[omega], entries (re, im) int pairs, by fraction-free
+    elimination.  Z[omega] is an integral domain, so with the pivot piv != 0
+    the step row_r <- piv*row_r - f*row_piv clears f and keeps the rank."""
     rank = 0
-    n_cols = len(rows[0]) if rows else 0
-    rows = [row[:] for row in rows]
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != (0, 0)), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        p, q = top[col]
+        for r in range(rank + 1, len(rows)):
+            f, g = rows[r][col]
+            if f or g:
+                # (p + q*w)*(a + b*w) - (f + g*w)*(c + d*w), w^2 = -k
+                rows[r] = [
+                    (p * a - k * q * b - f * c + k * g * d, p * b + q * a - f * d - g * c)
+                    for (a, b), (c, d) in zip(rows[r], top)
+                ]
         rank += 1
-        if rank == len(rows):
-            break
     return rank
 
 
@@ -390,6 +403,13 @@ def jacobian_spot_check(sys: QuadricSystem, coords) -> dict:
     r_j != 0 is independent of all the others.  The rank is the number of
     those rows plus the rank of the 3-column (x, y, z) block of the rows
     with r_j = 0.
+
+    Scaling the point by the lcm L of its coordinates' denominators, and
+    row j by the denominator D of base point j = (A/D, B/D), changes no zero
+    test and no rank.  Then every coordinate, dx = D*x - A*z, dy = D*y - B*z
+    and each block entry is an (re, im) int pair in Z[omega], the row's
+    test is D^2*r_j^2 = dx^2 + k*dy^2, and the block's rank comes from
+    fraction-free elimination (``_block_rank``).
     """
     k = sys.k
     lifted = tuple(
@@ -404,19 +424,31 @@ def jacobian_spot_check(sys: QuadricSystem, coords) -> dict:
         raise SurfaceliftError(f"coordinates must lie in Q(sqrt(-{k})), the system's field")
     if all(c.is_zero() for c in lifted):
         raise SurfaceliftError("homogeneous coordinates cannot all vanish")
-    x, y, z = lifted[:3]
+    # scale the point by the lcm of its denominators, and row j by the
+    # denominator D of base point j: with (a, b) = (A/D, B/D), dx = D*x - A*z
+    # and dy = D*y - B*z, the row's test D^2*r^2 = dx^2 + k*dy^2 and its block
+    # entries are integer pairs in Z[omega]
+    _, ((x0, x1), (y0, y1), (z0, z1), *rs) = _int_pairs(lifted)
     on_surface = True
     independent = 0
-    block: list[list[ImQuadElement]] = []
-    for j, base in enumerate(sys.base):
-        r = lifted[3 + j]
-        dx = x - base.x * z
-        dy = y - base.yc * z
-        if not (r * r - dx * dx - k * dy * dy).is_zero():
+    block: list[list[tuple[int, int]]] = []
+    for (r0, r1), base in zip(rs, sys.base):
+        d, [(a, b)] = integer_lattice((base,))
+        dx0, dx1 = d * x0 - a * z0, d * x1 - a * z1
+        dy0, dy1 = d * y0 - b * z0, d * y1 - b * z1
+        # (u + v*w)^2 = (u^2 - k*v^2) + 2*u*v*w, compared part by part
+        if (
+            d * d * (r0 * r0 - k * r1 * r1) != dx0 * dx0 - k * dx1 * dx1 + k * (dy0 * dy0 - k * dy1 * dy1)
+            or d * d * r0 * r1 != dx0 * dx1 + k * dy0 * dy1
+        ):
             on_surface = False
-        if not r.is_zero():
+        if r0 or r1:
             independent += 1
-        else:  # the row's (x, y, z) entries, divided by -2
-            block.append([dx, k * dy, -base.x * dx - k * base.yc * dy])
-    rank = independent + _rank(block)
+        else:  # the row's (x, y, z) entries, times -D^2*L/2 with L the point's scale
+            block.append([
+                (d * dx0, d * dx1),
+                (k * d * dy0, k * d * dy1),
+                (-a * dx0 - k * b * dy0, -a * dx1 - k * b * dy1),
+            ])
+    rank = independent + _block_rank(block, k)
     return {"on_surface": on_surface, "rank": rank, "smooth": on_surface and rank == sys.m}

@@ -38,7 +38,6 @@ from ratdist.curvelift import (
     quadric_polynomial,
     reflection_across_line,
     _crossing_parameter,
-    _poly_mul,
     _poly_norm,
     _restrict_six,
     _root_multiplicities,
@@ -55,6 +54,15 @@ F = Fraction
 
 def pt(x, yc=0) -> LatticePoint:
     return LatticePoint(F(x), F(yc))
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    """Fraction product of two exponent-triple dicts, one term per pair of monomials."""
+    return _poly_norm(
+        ((ip + iq, jp + jq, lp + lq), cp * cq)
+        for (ip, jp, lp), cp in p.items()
+        for (iq, jq, lq), cq in q.items()
+    )
 
 
 X_AXIS = line_curve(0, 1, 0)  # the line y = 0
@@ -353,6 +361,64 @@ def test_double_cover_branch_sextic_expansion():
         q = quadric_polynomial(base, 1)
         prod *= sum(c * x0**i * y0**j * z0**l for (i, j, l), c in q.items())
     assert sum(c * x0**i * y0**j * z0**l for (i, j, l), c in sextic.items()) == prod
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_branch_sextic_matches_the_fraction_product(seed):
+    # base points with unlike denominators: each quadric is scaled by its own D^2
+    rng = random.Random(seed)
+    k = rng.choice([1, 2, 3, 7])
+    triple: tuple = ()
+    while len(set(triple)) < 3:
+        triple = tuple(
+            LatticePoint(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 6])), F(rng.randint(-9, 9), rng.choice([1, 5, 7])))
+            for _ in range(3)
+        )
+    expected = _poly_mul(_poly_mul(quadric_polynomial(triple[0], k), quadric_polynomial(triple[1], k)),
+                         quadric_polynomial(triple[2], k))
+    cover = build_double_cover(X_AXIS, triple, k=k)
+    assert cover.branch_sextic == tuple(sorted((i, j, l, c) for (i, j, l), c in expected.items()))
+
+
+def _count_calls(monkeypatch, name: str) -> dict:
+    calls = {name: 0}
+
+    def counted(*args, _f=getattr(curvelift, name)):
+        calls[name] += 1
+        return _f(*args)
+
+    monkeypatch.setattr(curvelift, name, counted)
+    return calls
+
+
+def test_cover_reuses_the_selection_restrictions(monkeypatch):
+    # degree 1: the count restricts the three chosen lines and the cover reuses them
+    cands = candidates((0, 1), (0, -1), (0, 2), (1, 1), (2, 5))
+    plain = build_double_cover(X_AXIS, choose_transverse_triple(X_AXIS, cands).triple, k=1)
+    calls = _count_calls(monkeypatch, "substitute_line")
+    sel = choose_transverse_triple(X_AXIS, cands)
+    assert calls["substitute_line"] == 3
+    assert build_double_cover(X_AXIS, sel) == plain
+    assert calls["substitute_line"] == 3
+    # degree 3: one restriction per on-curve candidate, none in the cover,
+    # whose exact path (forced by smooth_curve) reads all six lines
+    curve, points = parabola_bisector_case()
+    sel = choose_transverse_triple(curve, points)
+    build_double_cover(curve, sel, smooth_curve=True)
+    assert calls["substitute_line"] == 3 + 15
+
+
+def test_selection_restrictions_are_not_part_of_its_value(monkeypatch):
+    cands = candidates((0, 1), (0, -1), (0, 2), (1, 1), (2, 5))
+    sel = choose_transverse_triple(X_AXIS, cands)
+    bare = TripleSelection(sel.triple, sel.k, sel.transverse_points, sel.required_points, sel.transcript)
+    assert sel.verified is not None and bare.verified is None
+    assert sel == bare and repr(sel) == repr(bare)
+    # a selection made for another curve is not trusted: its lines are restricted again
+    calls = _count_calls(monkeypatch, "substitute_line")
+    other = line_curve(1, 0, 0)  # the y-axis, on which (0, 1) and (0, 2) lie
+    assert build_double_cover(other, sel) == build_double_cover(other, sel.triple, k=1)
+    assert calls["substitute_line"] == 6
 
 
 def test_double_cover_argument_validation():

@@ -357,6 +357,54 @@ def test_divmod_identity(pq):
     assert rem.is_zero() or rem.degree < q.degree
 
 
+def oracle_poly_mul(p: ImQuadPoly, q: ImQuadPoly) -> ImQuadPoly:
+    """Element-wise product: one Fraction-backed ImQuadElement per pair of terms."""
+    if p.is_zero() or q.is_zero():
+        return ImQuadPoly.zero(p.k)
+    zero = ImQuadElement.from_rational(0, p.k)
+    out = [zero] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return ImQuadPoly.from_coeffs(out, p.k)
+
+
+# small and large denominators, a third of the parts zero
+mixed_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**24)),
+)
+
+
+def wide_polys(k: int):
+    """Degree 0..8 (or zero) over Q(omega), inner coefficients often zero."""
+    elements = st.builds(lambda a, b: ImQuadElement(a, b, k), mixed_fractions, mixed_fractions)
+    return st.lists(elements, min_size=0, max_size=9).map(lambda cs: ImQuadPoly.from_coeffs(cs, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3, 7]).flatmap(lambda k: st.tuples(wide_polys(k), wide_polys(k))))
+def test_product_matches_the_element_wise_oracle(pq):
+    p, q = pq
+    product = p * q
+    assert product == oracle_poly_mul(p, q)
+    assert product == q * p
+    if not (p.is_zero() or q.is_zero()):
+        assert product.degree == p.degree + q.degree
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_product_uses_omega_squared(k):
+    # (t + omega)(t - omega) = t^2 + k: the -k*bd term of the real part
+    w = omega(k)
+    assert _poly(k, w, 1) * _poly(k, -w, 1) == _poly(k, k, 0, 1)
+    half = ImQuadElement(Fraction(1, 2), Fraction(1, 3), k)
+    assert _poly(k, half) * _poly(k, 0, 0, half.conjugate()) == _poly(k, 0, 0, half.norm())
+
+
 # ---------------------------------------------------------------------------
 # one-sided certificates mod a good prime
 

@@ -1,9 +1,11 @@
 """Tests for the quadric system, lifting, census, and the certificate."""
 
+import itertools
 import random
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +31,7 @@ from ratdist.surfacelift import (
     singularity_census,
     surface_invariants,
     verify_on_surface,
-    _rank,
+    _block_rank,
 )
 
 F = Fraction
@@ -418,6 +420,28 @@ def test_spot_check_rejects_coordinates_from_another_field():
     assert jacobian_spot_check(RECT_SYS, same) == oracle_jacobian_spot_check(RECT_SYS, same)
 
 
+def _rank(rows: list[list[ImQuadElement]]) -> int:
+    """Gauss-Jordan elimination over Q(omega), one Fraction inverse per pivot."""
+    rank = 0
+    n_cols = len(rows[0]) if rows else 0
+    rows = [row[:] for row in rows]
+    for col in range(n_cols):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][col].is_zero():
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def oracle_jacobian_spot_check(system: QuadricSystem, coords) -> dict:
     """The full m x (m+3) Jacobian of the m quadrics, row-reduced by _rank."""
     k = system.k
@@ -503,6 +527,49 @@ def test_spot_check_block_rank_matches_full_jacobian(m, k):
         assert results[3] == {"on_surface": True, "rank": m - 1, "smooth": False}
         assert all(r["on_surface"] for r in results[4:6])
         assert all(not r["smooth"] for r in results[4:6]) == (m >= 3)
+
+
+def _block_rank_of(system: QuadricSystem, coords) -> tuple[int, set[int]]:
+    # the rank of the (x, y, z) block of the rows with r_j = 0, and the
+    # denominators of their base points
+    zero_rows = [j for j, r in enumerate(coords[3:]) if r == 0 or (isinstance(r, ImQuadElement) and r.is_zero())]
+    rank = oracle_jacobian_spot_check(system, coords)["rank"] - (system.m - len(zero_rows))
+    dens = {lcm(system.base[j].x.denominator, system.base[j].yc.denominator) for j in zero_rows}
+    return rank, dens
+
+
+def test_spot_check_corpus_reaches_every_block_rank():
+    # ranks 0..3 of the block, and blocks of rank 2 and 3 whose rows come
+    # from base points with unlike denominators, so that the per-row scaling shows
+    reached, unlike = set(), set()
+    for m, k, seed in itertools.product(range(1, 9), [1, 2, 3, 7], range(3)):
+        for system, coords in spot_check_corpus(m, k, seed + 100 * m + 10 * k):
+            rank, dens = _block_rank_of(system, coords)
+            reached.add(rank)
+            if len(dens) > 1:
+                unlike.add(rank)
+    assert reached == {0, 1, 2, 3}
+    assert {2, 3} <= unlike
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3, 7]), st.integers(0, 3), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_block_rank_matches_gauss_jordan(k, basis_size, n_rows, rng):
+    # rows in the span of basis_size random vectors over Z[omega]: the rank is
+    # at most basis_size, and the pivots are rarely 1
+    def entry(bound):
+        return (rng.randint(-bound, bound), rng.randint(-bound, bound) * rng.randint(0, 1))
+
+    basis = [[entry(9) for _ in range(3)] for _ in range(basis_size)]
+    rows = []
+    for _ in range(n_rows):
+        row = [(0, 0)] * 3
+        for vec in basis:
+            f = entry(5)
+            row = [(a + f[0] * c - k * f[1] * d, b + f[0] * d + f[1] * c) for (a, b), (c, d) in zip(row, vec)]
+        rows.append(row)
+    as_elements = [[ImQuadElement(a, b, k) for a, b in row] for row in rows]
+    assert _block_rank([row[:] for row in rows], k) == _rank(as_elements) <= basis_size
 
 
 # ---------------------------------------------------------------------------

@@ -57,17 +57,24 @@ class MismatchedFieldError(ExactnumError):
 
 DEFAULT_PRIME_BOUND = 100_000
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# [0-9], not \d: Python's \d and int() both accept every Unicode digit.
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the wire format "p/q" (or "p"); rejects floats, exponents and non-strings."""
+    """Parse the wire format "p/q" (or "p"); rejects floats, exponents and non-strings.
+
+    The digits must be ASCII.  The Fraction is built from the two integers
+    the pattern has matched, so the text is scanned once.
+    """
     if not isinstance(text, str):
         raise ExactnumError(f"rational must be a string like \"p/q\", got {type(text).__name__}")
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
         raise ExactnumError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def parse_int(value: int) -> int:
@@ -78,8 +85,12 @@ def parse_int(value: int) -> int:
 
 
 def format_rational(q: Fraction) -> str:
-    """Serialize as "p/q", or "p" when the denominator is 1; sign on p."""
-    return str(Fraction(q))
+    """Serialize as "p/q", or "p" when the denominator is 1; sign on p.
+
+    A Fraction is formatted as it is; any other rational (an int) is
+    converted first.
+    """
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

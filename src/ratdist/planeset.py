@@ -5,9 +5,10 @@ the real point (x, yc*sqrt(k)) for the configuration's shared squarefree
 k >= 1.  With L the lcm of all coordinate denominators, (x, yc) = (X/L, Y/L)
 for integers X and Y, and every squared distance is N/L^2 for the integer
 N = (dX)^2 + k*(dY)^2, the square of a rational exactly when N is a perfect
-square.  Verification, the distance matrix, normalization and the
-collinearity/concyclicity audits all run on this one integer lattice,
-without any floating point.
+square.  Verification, the distance matrix, normalization, inversion and
+the collinearity/concyclicity audits all run on this one integer lattice,
+without any floating point; each output rational is built once, as one
+Fraction of two integers.
 
 Configurations are immutable; every operation returns fresh values.
 """
@@ -52,8 +53,10 @@ class LatticePoint:
     yc: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "yc", Fraction(self.yc))
+        if not isinstance(self.x, Fraction):
+            object.__setattr__(self, "x", Fraction(self.x))
+        if not isinstance(self.yc, Fraction):
+            object.__setattr__(self, "yc", Fraction(self.yc))
 
     def to_dict(self) -> dict:
         return {"x": format_rational(self.x), "yc": format_rational(self.yc)}
@@ -75,7 +78,10 @@ class Configuration:
             raise PlanesetError(f"k must be a positive integer, got {self.k}")
         if not is_squarefree(self.k):
             raise PlanesetError(f"k must be squarefree, got {self.k}")
-        if len(set(self.points)) != len(self.points):
+        # keyed on the integers: hashing a Fraction takes a modular inverse
+        keys = {(p.x.numerator, p.x.denominator, p.yc.numerator, p.yc.denominator)
+                for p in self.points}
+        if len(keys) != len(self.points):
             raise PlanesetError("configuration points must be pairwise distinct")
 
     @property
@@ -196,6 +202,16 @@ def squared_numerators(points: tuple[LatticePoint, ...], k: int) -> tuple[int, l
     return scale, [[(x - u) ** 2 + k * (y - v) ** 2 for u, v in pts] for x, y in pts]
 
 
+def _irrational_pair(k: int, pts: list[tuple[int, int]]) -> tuple[int, int, int] | None:
+    """The first pair (i, j, N), i < j, of lattice points whose N is not a square."""
+    for i, (x, y) in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            sq = (pts[j][0] - x) ** 2 + k * (pts[j][1] - y) ** 2
+            if math.isqrt(sq) ** 2 != sq:
+                return i, j, sq
+    return None
+
+
 def distance_matrix(c: Configuration) -> DistanceMatrix:
     scale, nums = squared_numerators(c.points, c.k)
     return DistanceMatrix(tuple(tuple(Fraction(e, scale * scale) for e in row) for row in nums))
@@ -309,11 +325,9 @@ def _normal_form(k: int, pts: list[tuple[int, int]], provenance: str) -> Configu
     Reflected when its first point off the x-axis is below it, with k = 1 when
     all are on it.  Raises NotRdsMatrixError, one isqrt per pair, on a non-RDS.
     """
-    for i, (x, y) in enumerate(pts):
-        for j in range(i + 1, len(pts)):
-            sq = (pts[j][0] - x) ** 2 + k * (pts[j][1] - y) ** 2
-            if math.isqrt(sq) ** 2 != sq:
-                raise NotRdsMatrixError(f"pair ({i},{j}): {sq}/L^2 is not a rational square")
+    bad = _irrational_pair(k, pts)
+    if bad is not None:
+        raise NotRdsMatrixError(f"pair ({bad[0]},{bad[1]}): {bad[2]}/L^2 is not a rational square")
     (ax, ay), (bx, by) = pts[0], pts[1]
     ux, uy = bx - ax, by - ay
     den = ux * ux + k * uy * uy  # |p1 - p0|^2; the image is (z - p0)*conj(p1 - p0)/den
@@ -467,27 +481,31 @@ def audit_general_position(c: Configuration) -> AuditReport:
 def invert(c: Configuration, center_index: int) -> Configuration:
     """Inversion in the unit circle centered at points[center_index].
 
-    The center is kept fixed and excluded from the mapping; every other
-    point A maps to P + (A-P)/|A-P|^2, which stays in the lattice because
-    |A-P|^2 is rational.  Applied twice at the same center this is the
+    The center C is kept fixed and excluded from the mapping; every other
+    point A maps to C + (A-C)/|A-C|^2, which stays in the lattice because
+    |A-C|^2 is rational.  Applied twice at the same center this is the
     identity, and it preserves the rational-distance property.  A
     non-RDS input raises NotRdsMatrixError, before the center is checked.
+
+    On the integer lattice, with |A-C|^2 = N/L^2, the image is
+    (C*N + (A-C)*L^2)/(L*N): one Fraction per coordinate.
     """
-    if not verify_rds(c).is_rds:
+    scale, pts = integer_lattice(c.points)
+    if _irrational_pair(c.k, pts) is not None:
         raise NotRdsMatrixError("inversion requires a rational distance set")
     if not 0 <= center_index < c.n:
         raise PlanesetError(f"center index {center_index} out of range for {c.n} points")
-    center = c.points[center_index]
+    cx, cy = pts[center_index]
+    square = scale * scale
     out = []
-    for idx, p in enumerate(c.points):
+    for idx, (x, y) in enumerate(pts):
         if idx == center_index:
-            out.append(p)
+            out.append(c.points[idx])
             continue
-        rho = squared_distance(p, center, c.k)
+        dx, dy = x - cx, y - cy
+        n = dx * dx + c.k * dy * dy
+        den = scale * n
         out.append(
-            LatticePoint(
-                center.x + (p.x - center.x) / rho,
-                center.yc + (p.yc - center.yc) / rho,
-            )
+            LatticePoint(Fraction(cx * n + dx * square, den), Fraction(cy * n + dy * square, den))
         )
     return Configuration(c.k, tuple(out), c.provenance)

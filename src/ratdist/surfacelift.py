@@ -3,10 +3,13 @@
 The surface V sits in P^(2+m), cut out by r_j^2 = (x - a_j z)^2 + k (y - b_j z)^2
 for m distinct base points (a_j, b_j).  A plane point at rational distance
 from every base point lifts to a rational point (u, v, 1, s_1, ..., s_m)
-of V.  The singularity census and the numeric general-type criterion are
-evaluated from the closed-form classification: m * 2^(m-1) finite ordinary
-double points (multiplicity 2, discrepancy 0) plus two ordinary multiple
-points at infinity with multiplicity 2^(m-2) and discrepancy 3 - m, while
+of V.  The lift runs on the integer lattice of the point and the base: with
+squared distance N_j/L^2 to base point j, s_j is isqrt(N_j)/L, one integer
+square root per base point and one Fraction per coordinate.  The
+singularity census and the numeric general-type criterion are evaluated
+from the closed-form classification: m * 2^(m-1) finite ordinary double
+points (multiplicity 2, discrepancy 0) plus two ordinary multiple points at
+infinity with multiplicity 2^(m-2) and discrepancy 3 - m, while
 K^2 = (m-3)^2 * 2^m.  A Jacobian spot check is provided to verify the
 classification against exact rank computations at small m.  A row with
 r_j != 0 is the only one with an entry in its column 3 + j, so only the
@@ -21,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 from sys import maxsize
 from typing import NamedTuple
 
@@ -31,9 +35,8 @@ from .exactnum import (
     omega,
     parse_int,
     parse_rational,
-    rational_sqrt,
 )
-from .planeset import Configuration, LatticePoint, integer_lattice, squared_distance
+from .planeset import Configuration, LatticePoint, integer_lattice
 
 # Largest m that certify_V accepts.  K^2 = (m-3)^2 * 2^m then has about
 # 1,240 digits, under Python's default 4,300-digit int-to-str limit.
@@ -88,7 +91,8 @@ class LiftedPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        coords = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coords)
+        object.__setattr__(self, "coords", coords)
         if all(c == 0 for c in self.coords):
             raise SurfaceliftError("homogeneous coordinates cannot all vanish")
 
@@ -115,18 +119,24 @@ def build_surface(c: Configuration, base_indices: "list[int]") -> QuadricSystem:
 
 
 def lift_point(p: LatticePoint, sys: QuadricSystem) -> LiftedPoint:
-    """Lift (u, v) to (u, v, 1, s_1, ..., s_m), nonnegative distance branch."""
+    """Lift (u, v) to (u, v, 1, s_1, ..., s_m), nonnegative distance branch.
+
+    On the integer lattice of p and the base, the squared distance to base
+    point j is N_j/L^2, so s_j = isqrt(N_j)/L when N_j is a square.
+    """
+    scale, pts = integer_lattice((p,) + sys.base)
+    (x, y), k = pts[0], sys.k
     coords = [p.x, p.yc, Fraction(1)]
-    for j, base in enumerate(sys.base, start=1):
-        sq = squared_distance(p, base, sys.k)
-        s = rational_sqrt(sq)
-        if s is None:
+    for j, (u, v) in enumerate(pts[1:], start=1):
+        sq = (x - u) ** 2 + k * (y - v) ** 2
+        s = isqrt(sq)
+        if s * s != sq:
             raise NotEquidistantError(
-                f"not rationally equidistant: squared distance {sq} to base point "
-                f"{j} is not a rational square",
+                f"not rationally equidistant: squared distance {Fraction(sq, scale * scale)} "
+                f"to base point {j} is not a rational square",
                 j,
             )
-        coords.append(s)
+        coords.append(Fraction(s, scale))
     return LiftedPoint(tuple(coords))
 
 

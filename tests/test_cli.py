@@ -142,6 +142,24 @@ def test_lift_ok_and_violation():
     assert result2["payload"]["failures"][0]["base_index"] == 3
 
 
+# The 3-4-5 triangle written with Arabic-Indic digits 0, 3 and 4.
+ARABIC_TRIANGLE = {
+    "k": 1,
+    "points": [{"x": "\u0660", "yc": "0"}, {"x": "\u0663", "yc": "0"}, {"x": "0", "yc": "\u0664"}],
+}
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["normalize"], ["invert", "--center", "0"]])
+def test_non_ascii_digits_are_a_usage_error(tmp_path, argv):
+    path = tmp_path / "arabic.json"
+    path.write_text(json.dumps(ARABIC_TRIANGLE))
+    result, code = run([*argv, str(path)])
+    assert code == 2 and result["status"] == "error"
+    assert result["diagnostics"][0]["message"] == (
+        "invalid configuration JSON: not a rational literal: '\u0660'"
+    )
+
+
 def test_lift_needs_four_base_points():
     code, result, _ = invoke(["lift", "--base", "0,1,2", "-"], stdin_text=TRIANGLE)
     assert code == 2 and "ample" in result["diagnostics"][0]["message"]

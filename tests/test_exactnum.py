@@ -1,6 +1,9 @@
 """Tests for exact rationals, Q(omega) arithmetic, and polynomial helpers."""
 
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +193,56 @@ def test_rational_wire_format():
 def test_parse_rational_rejects_non_strings(bad):
     with pytest.raises(ExactnumError):
         parse_rational(bad)
+
+
+# Arabic-Indic, extended Arabic-Indic, Devanagari and fullwidth digits: all
+# are Unicode decimal digits, which Python's \d and int() accept.
+UNICODE_DIGITS = ["\u0663", "\u06f3", "\u0969", "\uff13", "1/\u0663", "\u0663/2", "-\u0664"]
+
+
+@pytest.mark.parametrize("bad", UNICODE_DIGITS)
+def test_parse_rational_rejects_non_ascii_digits(bad):
+    assert int(bad.split("/")[-1].lstrip("-")) > 0  # Python's own int() takes them
+    with pytest.raises(ExactnumError, match="not a rational literal"):
+        parse_rational(bad)
+
+
+# The wire pattern of docs/schemas/common.json, as jsonschema applies it (re.search).
+SCHEMA_RATIONAL = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "schemas" / "common.json").read_text()
+)["$defs"]["rational"]["pattern"]
+FRACTIONS = st.fractions() | st.builds(Fraction, st.integers(), st.integers(min_value=1))
+
+
+@settings(max_examples=300)
+@given(FRACTIONS)
+def test_parse_inverts_format(q):
+    assert parse_rational(format_rational(q)) == q
+    assert re.search(SCHEMA_RATIONAL, format_rational(q))
+
+
+@settings(max_examples=300)
+@given(st.from_regex(SCHEMA_RATIONAL))
+def test_parse_rational_agrees_with_fraction_on_the_schema_pattern(text):
+    assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 4301, "-" + "1" * 4301, "+" + "1" * 4301, "1/" + "1" * 4301, "2" * 4400 + "/3"]
+)
+def test_parse_rational_keeps_the_int_digit_limit_error(text):
+    with pytest.raises(ValueError) as expected:
+        Fraction(text)
+    with pytest.raises(ValueError) as got:
+        parse_rational(text)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert "4300 digits" in str(got.value)
+
+
+@given(st.integers() | st.sampled_from([0, -1, 10**40, -(10**40)]))
+def test_format_rational_of_an_int(n):
+    assert format_rational(n) == str(Fraction(n)) == str(n)
 
 
 def test_parse_int_accepts_json_ints():

@@ -84,6 +84,28 @@ def oracle_verify_rds(c: Configuration) -> VerifyReport:
     return VerifyReport(not failing, tuple(failing), tuple(tuple(row) for row in dist))
 
 
+def oracle_invert(c: Configuration, center_index: int) -> Configuration:
+    """P + (A-P)/|A-P|^2 in Fraction pairs for every A other than the center P."""
+    if not oracle_verify_rds(c).is_rds:
+        raise NotRdsMatrixError("inversion requires a rational distance set")
+    if not 0 <= center_index < c.n:
+        raise PlanesetError(f"center index {center_index} out of range for {c.n} points")
+    center = c.points[center_index]
+    out = []
+    for idx, p in enumerate(c.points):
+        if idx == center_index:
+            out.append(p)
+            continue
+        rho = squared_distance(p, center, c.k)
+        out.append(
+            LatticePoint(
+                center.x + (p.x - center.x) / rho,
+                center.yc + (p.yc - center.yc) / rho,
+            )
+        )
+    return Configuration(c.k, tuple(out), c.provenance)
+
+
 # ---------------------------------------------------------------------------
 # squared_distance / verify
 
@@ -298,7 +320,7 @@ def search_finds(k: int) -> tuple[Configuration, ...]:
 
 
 @st.composite
-def similar_rds(draw, max_n=6):
+def similar_rds(draw, max_n=6, ks=SIMILARITY_KS):
     """A search find or a circle/line fixture under a random similarity.
 
     The similarity is z -> s*z + t, or s*conj(z) + t, with
@@ -307,7 +329,7 @@ def similar_rds(draw, max_n=6):
     and sometimes inverted; sometimes one point is then moved by a small
     offset, which mostly breaks the RDS property.
     """
-    k = draw(st.sampled_from(SIMILARITY_KS))
+    k = draw(st.sampled_from(ks))
     family = draw(st.sampled_from(["search", "circle", "line"]))
     if family == "search":
         # a collinear find comes back with k = 1 but is an RDS in every lattice
@@ -665,6 +687,34 @@ def test_invert_checks_rds_before_the_center_range():
         invert(cfg(1, (0, 0), (1, 0), (0, 1)), 9)
     with pytest.raises(PlanesetError, match="center index 9 out of range for 3 points"):
         invert(TRIANGLE_345, 9)
+
+
+@st.composite
+def scaled_rds(draw):
+    """similar_rds for k in {1, 2, 3, 7}, scaled and moved by rationals with denominators up to 10^6."""
+    c = draw(similar_rds(ks=(1, 2, 3, 7)))
+    s = draw(COORD.filter(bool))
+    dx, dy = draw(COORD), draw(COORD)
+    points = tuple(LatticePoint(s * p.x + dx, s * p.yc + dy) for p in c.points)
+    return Configuration(c.k, points, c.provenance)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PlanesetError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_rds())
+def test_invert_matches_the_fraction_oracle(c):
+    # every center, and two out of range; a moved point makes most inputs non-RDS
+    for center in [*range(c.n), c.n, -1]:
+        got = _outcome(invert, c, center)
+        assert got == _outcome(oracle_invert, c, center)
+        if isinstance(got, Configuration):
+            assert got.to_dict() == oracle_invert(c, center).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,20 @@ def test_violation_and_error_results_conform(validators):
     validators["command_result.json"].validate(result2)
 
 
+# The schema pattern and the decoder agree on these strings; the digits
+# after the first five are Arabic-Indic, Devanagari and fullwidth.
+WIRE_RATIONALS = ["3", "-3/4", "+07/10", "1/0", "1.5", "\u0663", "1/\u0663", "\u0969", "\uff13/2"]
+
+
+@pytest.mark.parametrize("text", WIRE_RATIONALS)
+def test_schema_pattern_agrees_with_the_decoder(validators, text):
+    config = {"k": 1, "points": [{"x": text, "yc": "0"}]}
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(config))):
+        _, code = run(["verify"])
+    assert validators["configuration.json"].is_valid(config) == (code == 0)
+    assert code in (0, 2)
+
+
 # Arbitrary JSON, plus configurations that are well formed or nearly so: at
 # most six points, from small rationals or from a rational-distance circle,
 # with k near the valid range and any field possibly replaced by junk.

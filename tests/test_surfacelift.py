@@ -10,8 +10,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdist.exactnum import ImQuadElement
-from ratdist.planeset import Configuration, LatticePoint
+from ratdist.exactnum import ImQuadElement, rational_sqrt
+from ratdist.planeset import Configuration, LatticePoint, squared_distance
 from ratdist.surfacelift import (
     MAX_M,
     GeneralTypeCertificate,
@@ -111,6 +111,69 @@ def test_project_roundtrip():
     assert project_point(lifted) == pt(3, 4)
     with pytest.raises(SurfaceliftError):
         project_point(LiftedPoint((F(1), F(2), F(0), F(1), F(1), F(1), F(1))))
+
+
+def oracle_lift_point(p: LatticePoint, sys: QuadricSystem) -> LiftedPoint:
+    """One Fraction squared distance and one rational_sqrt per base point."""
+    coords = [p.x, p.yc, Fraction(1)]
+    for j, base in enumerate(sys.base, start=1):
+        sq = squared_distance(p, base, sys.k)
+        s = rational_sqrt(sq)
+        if s is None:
+            raise NotEquidistantError(
+                f"not rationally equidistant: squared distance {sq} to base point "
+                f"{j} is not a rational square",
+                j,
+            )
+        coords.append(s)
+    return LiftedPoint(tuple(coords))
+
+
+COORD = st.integers(-6, 6).map(F) | st.fractions(-50, 50, max_denominator=10**6)
+
+
+@st.composite
+def equidistant_points(draw):
+    """k, a point p and up to five base points at rational distances from p.
+
+    Base point j is p + s_j*w_j^2/|w_j|^2 with w_j = a + b*sqrt(-k), at
+    distance |s_j| from p; the base points are seldom at rational distances
+    from each other, and the extra points seldom from any base point.
+    """
+    k = draw(st.sampled_from([1, 2, 3, 7]))
+    p = LatticePoint(draw(COORD), draw(COORD))
+    base = []
+    for _ in range(draw(st.integers(1, 5))):
+        a, b = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any))
+        s, norm = draw(COORD.filter(bool)), a * a + k * b * b
+        q = LatticePoint(p.x + s * F(a * a - k * b * b, norm), p.yc + s * F(2 * a * b, norm))
+        if q not in base:
+            base.append(q)
+    extra = draw(st.lists(st.builds(LatticePoint, COORD, COORD), max_size=2))
+    return k, p, base, extra
+
+
+def _lift_outcome(fn, p, system):
+    try:
+        return fn(p, system)
+    except NotEquidistantError as err:
+        return type(err), err.index, str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(equidistant_points())
+def test_lift_point_matches_the_fraction_oracle(drawn):
+    k, p, base, extra = drawn
+    # every choice of base points, in drawn order, and every point drawn
+    for m in range(1, len(base) + 1):
+        for chosen in itertools.combinations(base, m):
+            system = QuadricSystem(m, k, chosen)
+            for q in [p, *base, *extra]:
+                got = _lift_outcome(lift_point, q, system)
+                assert got == _lift_outcome(oracle_lift_point, q, system)
+                if isinstance(got, LiftedPoint):
+                    assert got.to_list() == oracle_lift_point(q, system).to_list()
+            assert isinstance(_lift_outcome(lift_point, p, system), LiftedPoint)
 
 
 @settings(max_examples=50, deadline=None)

@@ -264,7 +264,7 @@ def _cmd_search(args) -> dict:
 def _cmd_generate(args) -> dict:
     if args.family == "line":
         if args.offsets:
-            offsets = [parse_rational(t) for t in args.offsets.split(",")]
+            offsets = [parse_rational(t.strip()) for t in args.offsets.split(",")]
         else:
             offsets = list(range(args.n))
         c = generate_line_rds(args.n, offsets)
@@ -323,7 +323,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="bounded-height exhaustive search")
     p.add_argument("--spec", default=None, help="search spec JSON file")
     p.add_argument("--resume", default=None, help="checkpoint JSON file to resume")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers (capped by CPUs and RDS_THREADS)")
+    p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect, search runs in one process")
     p.add_argument("--max-cells", type=int, default=None, help="stop after this many first-point cells")
     p.add_argument("--progress", action="store_true", help="emit NDJSON progress events on stderr")
     p.set_defaults(func=_cmd_search)

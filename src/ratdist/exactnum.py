@@ -69,7 +69,6 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise ExactnumError(f"rational must be a string like \"p/q\", got {type(text).__name__}")
-    text = text.strip()
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ExactnumError(f"not a rational literal: {text!r}")

@@ -20,22 +20,15 @@ class, so finds are deduplicated on it directly.
 Work is partitioned by the lowest grid index of a clique (its first-point
 cell), which is also the checkpoint granularity: checkpoints record
 exhausted index ranges plus the finds so far, merges are set unions, and
-resuming yields bit-identical results.  With several workers a process
-pool maps the cells in contiguous chunks; results come back in cell order,
-so progress and output do not depend on the worker count.  Workers share
-nothing but the adjacency; the pool never exceeds the CPU count, and the
-RDS_THREADS environment variable caps it further.
+resuming yields bit-identical results.  The search runs in one process,
+cell by cell in cell order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from math import gcd
 
 from .exactnum import is_squarefree, parse_int, rational_sqrt
@@ -376,12 +369,12 @@ def search(
 ) -> SearchCheckpoint:
     """Exhaust the bounded grid (or the checkpoint's remaining cells).
 
-    Deterministic for a given spec regardless of worker count or where the
-    run is split; ``max_cells`` (nonnegative) bounds how many first-point
-    cells this call processes so long runs can checkpoint and resume.
-    ``workers`` (at least 1) is capped by the CPU count, RDS_THREADS and
-    the cells to process.  ``progress`` is an optional callable receiving
-    one dict per processed cell, in cell order, whatever the worker count.
+    Deterministic for a given spec regardless of where the run is split;
+    ``max_cells`` (nonnegative) bounds how many first-point cells this call
+    processes so long runs can checkpoint and resume.  ``workers`` must be
+    at least 1 and has no other effect: the search runs in this process.
+    ``progress`` is an optional callable receiving one dict per processed
+    cell, in cell order.
     """
     if spec is None and checkpoint is None:
         raise SearchgenError("either a spec or a checkpoint is required")
@@ -409,29 +402,12 @@ def search(
         for cfg in checkpoint.found:
             absorb(cfg)
 
-    env_cap = os.environ.get("RDS_THREADS")
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError:
-            raise SearchgenError(f"RDS_THREADS must be a positive integer, got {env_cap!r}")
-        if cap < 1:
-            raise SearchgenError(f"RDS_THREADS must be a positive integer, got {cap}")
-        workers = min(workers, cap)
-    workers = min(workers, os.cpu_count() or 1, len(todo) or 1)
-
-    job = partial(_search_one_cell, spec, grid, _adjacency(grid, spec.k))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    with pool or nullcontext():
-        # about four contiguous chunks per worker: low cells have the most
-        # higher neighbours, so finer chunks balance the load
-        chunk = -(-len(todo) // (4 * workers))
-        results = pool.map(job, todo, chunksize=chunk) if pool else map(job, todo)
-        for cell, cfgs in zip(todo, results):
-            for cfg in cfgs:
-                absorb(cfg)
-            if progress is not None:
-                progress({"event": "cell", "cell": cell, "classes": len(found)})
+    adjacency = _adjacency(grid, spec.k)
+    for cell in todo:
+        for cfg in _search_one_cell(spec, grid, adjacency, cell):
+            absorb(cfg)
+        if progress is not None:
+            progress({"event": "cell", "cell": cell, "classes": len(found)})
 
     return SearchCheckpoint(
         spec=spec,

@@ -101,6 +101,14 @@ def test_generate_line_pipe_verify_and_normalize():
     assert result3["payload"]["points"][1] == {"x": "1", "yc": "0"}
 
 
+def test_generate_line_offsets_may_be_spaced():
+    # --offsets is argv, not wire text: blanks around each part are dropped
+    spaced, code = run(["generate", "line", "--n", "3", "--offsets", " 0, 1,\t5/2 "])
+    assert code == 0
+    assert spaced == run(["generate", "line", "--n", "3", "--offsets", "0,1,5/2"])[0]
+    assert [p["x"] for p in spaced["payload"]["points"]] == ["0", "1", "5/2"]
+
+
 def test_normalize_large_k_rds(tmp_path):
     # verify accepts this set; normalizing it must not factor its verticals
     config = tmp_path / "large_k.json"
@@ -249,6 +257,24 @@ def test_search_workers_below_one_is_usage_error(tmp_path, workers):
     assert code == 2
     assert result["status"] == "error"
     assert "workers" in result["diagnostics"][0]["message"]
+
+
+def test_search_cli_loads_no_process_pool(tmp_path):
+    # a fresh interpreter, so that no other test has imported the modules
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(
+        json.dumps({"k": 1, "numerator_bound": 1, "denominator_bound": 1, "target_size": 3})
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "from ratdist import cli\n"
+        f"assert cli.run(['search', '--spec', {str(spec_file)!r}, '--workers', '4'])[1] == 0\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_search_progress_stderr(tmp_path):

@@ -184,7 +184,7 @@ def test_rational_wire_format():
     assert format_rational(Fraction(7)) == "7"
     assert parse_rational("8/5") == Fraction(8, 5)
     assert parse_rational("-3") == Fraction(-3)
-    for bad in ("1.5", "1e3", "1/-2", "", "x"):
+    for bad in ("1.5", "1e3", "1/-2", "", "x", " 3", "3 ", "3\n", "\t-1/2\n", "3\u3000", "1 /2"):
         with pytest.raises(ExactnumError):
             parse_rational(bad)
 

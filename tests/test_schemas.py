@@ -81,15 +81,33 @@ def test_violation_and_error_results_conform(validators):
 # The schema pattern and the decoder agree on these strings; the digits
 # after the first five are Arabic-Indic, Devanagari and fullwidth.
 WIRE_RATIONALS = ["3", "-3/4", "+07/10", "1/0", "1.5", "\u0663", "1/\u0663", "\u0969", "\uff13/2"]
+# jsonschema applies the pattern with re.search, where a bare $ also matches
+# before a final newline; the decoder and ECMA-262 reject "3\n"
+SPACED_RATIONALS = ["3\n", " 3", "3 ", "\t-1/2\n", "3\u3000", "1/2\n\n"]
+# digits, signs, slashes, ASCII and Unicode blanks, and non-ASCII digits
+RATIONAL_CHARS = st.text(
+    st.sampled_from("0123456789+-/ \t\n\r\x0b\x0c\x85\xa0\u2003\u3000\u0663\u0969\uff13"),
+    max_size=8,
+)
 
 
-@pytest.mark.parametrize("text", WIRE_RATIONALS)
-def test_schema_pattern_agrees_with_the_decoder(validators, text):
+def _check_agreement(validators, text: str) -> None:
     config = {"k": 1, "points": [{"x": text, "yc": "0"}]}
     with mock.patch("sys.stdin", io.StringIO(json.dumps(config))):
         _, code = run(["verify"])
     assert validators["configuration.json"].is_valid(config) == (code == 0)
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("text", WIRE_RATIONALS + SPACED_RATIONALS)
+def test_schema_pattern_agrees_with_the_decoder(validators, text):
+    _check_agreement(validators, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=RATIONAL_CHARS)
+def test_schema_pattern_agrees_with_the_decoder_on_any_text(validators, text):
+    _check_agreement(validators, text)
 
 
 # Arbitrary JSON, plus configurations that are well formed or nearly so: at
@@ -130,7 +148,7 @@ WIRE_INPUT = (
 @settings(max_examples=150, deadline=None)
 @given(data=WIRE_INPUT)
 def test_fuzzed_configuration_gives_one_valid_result(validators, data):
-    # search and --workers are left out: they can start processes
+    # search is fuzzed on its own below, with its spec and checkpoint files
     text = json.dumps(data)
     for argv in (["verify"], ["normalize"], ["audit"], ["invert", "--center", "0"]):
         with mock.patch("sys.stdin", io.StringIO(text)):
@@ -215,9 +233,9 @@ def test_decoders_raise_only_usage_errors(data):
 # search through run(): spec fields near and outside their valid ranges or
 # replaced by junk, --max-cells of any sign or not an integer, and --resume
 # checkpoints with junk fields and exhausted ranges inside or outside the
-# grid.  numerator_bound stays <= 3 and the grid at most 7x7 cells, and
-# --workers is always 1, so each call takes well under a second and starts
-# no process.
+# grid, and --workers of any sign or not an integer.  numerator_bound stays
+# <= 3 and the grid at most 7x7 cells, so each call takes well under a
+# second; search runs in one process whatever --workers says.
 NOT_INT = JSON_VALUES.filter(lambda v: type(v) is not int)
 BAD_RANGES = [[[0, 10**7]], [[0, 10**12]], [[-5, 3]], [[100, 200]], [[7, 2]], [[3, 3]]]
 FOUND_CLASS = generate_circle_rds(3).to_dict()
@@ -286,11 +304,26 @@ def search_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("search")
 
 
+WORKERS_TEXT = (
+    st.integers(-3, 8).map(str)
+    | st.sampled_from(["0", "-1", str(10**6), "1.5", "", "abc", " 2", "\u0663"])
+    | st.integers().map(str)
+    | st.text(max_size=4)
+)
+
+
+def _int_or_none(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 @settings(max_examples=100, deadline=None)
-@given(args=search_arguments())
-def test_fuzzed_search_gives_one_valid_result(validators, search_dir, args):
+@given(args=search_arguments(), workers=WORKERS_TEXT)
+def test_fuzzed_search_gives_one_valid_result(validators, search_dir, args, workers):
     spec, checkpoint, max_cells = args
-    argv = ["search", "--workers", "1"]
+    argv = ["search", "--workers=" + workers]
     for flag, data in (("--spec", spec), ("--resume", checkpoint)):
         if data is not None:
             path = search_dir / f"{flag[2:]}.json"
@@ -301,6 +334,10 @@ def test_fuzzed_search_gives_one_valid_result(validators, search_dir, args):
     result, code = run(argv)
     validators["command_result.json"].validate(result)
     assert code == {"ok": 0, "error": 2}[result["status"]]
+    # argparse reads --workers with int(), so " 2" and Arabic-Indic digits pass
+    n = _int_or_none(workers)
+    if n is None or n < 1:
+        assert code == 2
     if code == 0:
         validators["checkpoint.json"].validate(result["payload"])
         SearchCheckpoint.from_dict(result["payload"])

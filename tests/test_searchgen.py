@@ -493,22 +493,6 @@ def test_checkpoint_accepts_ranges_within_the_grid():
     assert SearchCheckpoint(NINE_CELLS, (), ((0, 9),)).complete()
 
 
-def test_search_parallel_matches_serial():
-    serial = search(TINY)
-    parallel = search(TINY, workers=4)
-    assert parallel.found == serial.found
-    assert parallel.exhausted_ranges == serial.exhausted_ranges
-
-
-def test_search_thread_env_cap(monkeypatch):
-    monkeypatch.setenv("RDS_THREADS", "1")
-    result = search(TINY, workers=8)  # capped to the serial path
-    assert result.found == search(TINY).found
-    monkeypatch.setenv("RDS_THREADS", "zero")
-    with pytest.raises(SearchgenError):
-        search(TINY, workers=2)
-
-
 def test_search_progress_events():
     events = []
     search(TINY, progress=events.append)
@@ -516,60 +500,17 @@ def test_search_progress_events():
     assert all(e["event"] == "cell" for e in events)
 
 
-def test_search_parallel_progress_matches_serial(monkeypatch):
-    # one "cell" event per cell, in cell order, whatever the worker count;
-    # two CPUs are reported so that the pool runs even on a one-CPU host
-    monkeypatch.setattr(searchgen.os, "cpu_count", lambda: 2)
-    serial, parallel = [], []
-    search(TINY, max_cells=19, progress=serial.append)
-    result = search(TINY, workers=2, max_cells=19, progress=parallel.append)
-    assert parallel == serial
-    assert [e["cell"] for e in parallel] == list(range(19))
-    assert parallel[-1]["classes"] == len(result.found)
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, cells, chunksize=1):
-        assert chunksize >= 1
-        return map(fn, cells)
-
-
-@pytest.mark.parametrize(
-    "cpus, env, workers, max_cells, pool_size",
-    [
-        (2, None, 1000, None, 2),
-        (8, None, 1000, 3, 3),
-        (8, "5", 1000, None, 5),
-        (8, None, 4, None, 4),
-        (None, None, 4, None, None),
-        (8, None, 1, None, None),
-        (8, None, 4, 1, None),
-    ],
-)
-def test_search_pool_size_is_capped(monkeypatch, cpus, env, workers, max_cells, pool_size):
-    RecordingPool.sizes = []
-    monkeypatch.setattr(searchgen, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(searchgen.os, "cpu_count", lambda: cpus)
-    if env is None:
-        monkeypatch.delenv("RDS_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("RDS_THREADS", env)
-    result = search(TINY, workers=workers, max_cells=max_cells)
-    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
-    assert result == search(TINY, max_cells=max_cells)
+@pytest.mark.parametrize("workers", [1, 2, 8, 10**6])
+def test_search_workers_change_nothing(workers):
+    # one "cell" event per cell, in cell order; the search runs in this
+    # process, so even a million workers start none
+    serial, events = [], []
+    expected = search(TINY, max_cells=19, progress=serial.append)
+    result = search(TINY, workers=workers, max_cells=19, progress=events.append)
+    assert result == expected
+    assert events == serial
+    assert [e["cell"] for e in events] == list(range(19))
+    assert events[-1]["classes"] == len(result.found)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

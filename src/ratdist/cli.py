@@ -28,7 +28,7 @@ from .curvelift import (
     build_double_cover,
     choose_transverse_triple,
 )
-from .exactnum import parse_rational
+from .exactnum import _parse_integer, parse_rational
 from .planeset import (
     Configuration,
     NotRdsMatrixError,
@@ -124,7 +124,7 @@ def _read_wire(path: str, decode=Configuration.from_dict, what: str = "configura
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [_parse_integer(part.strip()) for part in text.split(",")]
     except ValueError as err:
         raise CliUsageError(f"expected comma-separated integers, got {text!r}") from err
 
@@ -299,7 +299,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("invert", help="unit-circle inversion at a configuration point")
     add_config_arg(p)
-    p.add_argument("--center", type=int, required=True, help="index of the inversion center")
+    p.add_argument("--center", type=_parse_integer, required=True, help="index of the inversion center")
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("lift", help="lift configuration points to the quadric surface")
@@ -315,7 +315,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="general-type certificate for the quadric surface")
     add_config_arg(p)
-    p.add_argument("--m", type=int, default=None, help="number of base points (family certificate)")
+    p.add_argument("--m", type=_parse_integer, default=None, help="number of base points (family certificate)")
     p.add_argument("--from", dest="from_file", default=None, help="configuration JSON file")
     p.add_argument("--base", default=None, help="base indices into the configuration")
     p.set_defaults(func=_cmd_certify)
@@ -323,16 +323,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="bounded-height exhaustive search")
     p.add_argument("--spec", default=None, help="search spec JSON file")
     p.add_argument("--resume", default=None, help="checkpoint JSON file to resume")
-    p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect, search runs in one process")
-    p.add_argument("--max-cells", type=int, default=None, help="stop after this many first-point cells")
+    p.add_argument("--workers", type=_parse_integer, default=1, help="at least 1; has no effect, search runs in one process")
+    p.add_argument("--max-cells", type=_parse_integer, default=None, help="stop after this many first-point cells")
     p.add_argument("--progress", action="store_true", help="emit NDJSON progress events on stderr")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("generate", help="fixture generators")
     p.add_argument("family", choices=["line", "circle"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_integer, required=True)
     p.add_argument("--offsets", default=None, help="comma-separated rationals (line family)")
-    p.add_argument("--parameter-bound", type=int, default=200, help="triple parameter bound (circle family)")
+    p.add_argument("--parameter-bound", type=_parse_integer, default=200, help="triple parameter bound (circle family)")
     p.set_defaults(func=_cmd_generate)
 
     return parser

@@ -16,9 +16,12 @@ and ints, and each coefficient is divided once at the end.  The line of
 closed-form parameter t = (b' - b)/2 + s*omega*(a' - a)/(2k), s = -1 on a
 conjugate line, and the crossing lies on f exactly when the restriction
 vanishes there, so no point of the plane is built.  f is rational, so
-its restriction to a conjugate line is the coefficient-wise conjugate of
-the restriction to the partner line, with the same root multiplicities:
-of a triple's six lines only three are restricted and decomposed.
+complex conjugation maps the curve to itself and swaps the line of a base
+point with its conjugate line: the conjugate line carries the conjugate
+restriction, with the same root multiplicities and the conjugate crossing
+parameters, and the line of u crosses the conjugate line of v on the curve
+exactly when the line of v crosses the conjugate line of u there.  So one
+analysis per base point decides all six lines of a triple.
 
 Both root questions go mod the good prime of exactnum first: a
 restriction certified squarefree there has only simple roots, and a
@@ -33,17 +36,16 @@ The selection routine picks a triple of base points whose six isotropic
 lines meet the curve transversely at enough points for the double cover
 w^2 = q1*q2*q3 on f = 0 to have the expected ramification; the cover's
 genus is reported exactly when the branch points can be certified affine,
-simple, and unshared, and as the generic interval otherwise.  A selection
-keeps the restrictions that its count verified, and the cover of that
-selection reuses them.  The branch sextic is multiplied in integers: with
-a base point (A/D, B/D), D^2*q = (Dx - Az)^2 + k*(Dy - Bz)^2 has integer
-coefficients, and each monomial of the product is divided once.
+simple, and unshared, and as the generic interval otherwise.  The branch
+sextic is multiplied in integers: with a base point (A/D, B/D),
+D^2*q = (Dx - Az)^2 + k*(Dy - Bz)^2 has integer coefficients, and each
+monomial of the product is divided once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
@@ -392,9 +394,7 @@ def _report(
     simple = dict(multiplicities).get(1, 0)
     if simple and excluded:
         dp = p.derivative()
-        simple -= sum(
-            1 for t in excluded if p.evaluate(t).is_zero() and not dp.evaluate(t).is_zero()
-        )
+        simple -= sum(1 for t in excluded if _is_root(p, t) and not _is_root(dp, t))
     return TransversalityReport(
         simple_roots=simple,
         multiplicities=multiplicities,
@@ -448,10 +448,6 @@ class TripleSelection:
     transverse_points: int
     required_points: int
     transcript: tuple[dict, ...]
-    # the curve and, per point of the triple, the restriction to its line and
-    # the root multiplicities that the count verified; build_double_cover
-    # reuses them for the same curve.  Not part of the selection's value
-    verified: "tuple[PlaneCurve, dict] | None" = field(default=None, compare=False, repr=False)
 
     def lines(self) -> tuple[IsotropicLine, ...]:
         return six_lines(self.triple, self.k)
@@ -473,55 +469,33 @@ def _require_distinct(triple: tuple[LatticePoint, LatticePoint, LatticePoint]) -
         raise CurveliftError("cover needs three distinct base points")
 
 
-def _restrict_six(
+def _analyze_triple(
     curve: PlaneCurve, triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int, known: dict
-) -> tuple[tuple[IsotropicLine, ...], list[ImQuadPoly], list, list[set[ImQuadElement]]]:
-    """The six lines of the triple with, per line, the curve's restriction,
-    its root multiplicities (None when the line lies in the curve) and the
-    parameters of the points on the curve that the line shares with another
-    of the six.
+) -> list[tuple[ImQuadPoly, tuple | None, set[ImQuadElement]]]:
+    """Per base point u: the curve's restriction p_u to the line of u, its
+    root multiplicities (None when the line lies in the curve) and the set
+    S_u of parameters on the line of u of its crossings on the curve with
+    the conjugate lines of the triple, that of u included.
 
-    The curve is rational, so its restriction to a conjugate line is the
-    coefficient-wise conjugate of the restriction to the partner line, with
-    the same root multiplicities: only three lines are restricted, fewer
-    when ``known`` maps base points to restrictions and multiplicities.
-    Those computed here are added to ``known``.
+    The conjugate line of u has the conjugate restriction, the same
+    multiplicities and the conjugate set.  The crossing of the line of u
+    with the conjugate line of v is the conjugate of the crossing of the
+    line of v with the conjugate line of u, so one root test per unordered
+    pair decides both.  ``known`` maps base points to restrictions and
+    multiplicities; those computed here are added to it.
     """
-    lines = six_lines(triple, k)
-    polys: list[ImQuadPoly] = []
-    mults: list = []
-    for line in lines[::2]:
-        if line.base in known:
-            p, m = known[line.base]
-        else:
+    lines = [IsotropicLine(p, k) for p in triple]
+    for line in lines:
+        if line.base not in known:
             p = substitute_line(curve, line)
-            m = None if p.is_zero() else _root_multiplicities(p)
-            known[line.base] = (p, m)
-        polys += [p, p.conjugate_coeffs()]
-        mults += [m, m]
-    return lines, polys, mults, _shared_curve_points(lines, polys)
-
-
-def _shared_curve_points(
-    lines: tuple[IsotropicLine, ...], polys: list[ImQuadPoly]
-) -> list[set[ImQuadElement]]:
-    """Per line, the set of parameters at which a line of the other family
-    crosses it on the curve.
-
-    The crossing parameter has a closed form (``_crossing_parameter``), and
-    the crossing lies on the curve exactly when the restriction ``polys[i]``
-    vanishes there, so no point of the plane is built.  Same-family pairs
-    only meet at infinity and are skipped.
-    """
-    shared: list[set[ImQuadElement]] = [set() for _ in lines]
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        if lines[i].conjugate == lines[j].conjugate:
-            continue
-        t = _crossing_parameter(lines[i], lines[j])
-        if _is_root(polys[i], t):
-            shared[i].add(t)
-            shared[j].add(_crossing_parameter(lines[j], lines[i]))
-    return shared
+            known[line.base] = (p, None if p.is_zero() else _root_multiplicities(p))
+    out = [(*known[p], set()) for p in triple]
+    for u, v in itertools.combinations_with_replacement(range(3), 2):
+        t = _crossing_parameter(lines[u], lines[v].conjugated())
+        if _is_root(out[u][0], t):
+            out[u][2].add(t)
+            out[v][2].add(_crossing_parameter(lines[v], lines[u].conjugated()))
+    return out
 
 
 def count_transverse_union(
@@ -530,20 +504,21 @@ def count_transverse_union(
     """Transverse count of the curve against the six-line union.
 
     Points on two of the six lines are excluded (the union is singular
-    there, so the intersection with the curve cannot be transverse).
+    there, so the intersection with the curve cannot be transverse).  The
+    reports follow ``six_lines``; conjugation swaps each line with its
+    conjugate line, so a conjugate line's report is its partner's and the
+    count is twice the sum over the base points.
     """
     return _count_transverse_union(curve, triple, k, {})
 
 
 def _count_transverse_union(curve, triple, k, known: dict):
     _require_distinct(triple)
-    lines, polys, mults, shared = _restrict_six(curve, triple, k, known)
-    if None in mults:
+    analysis = _analyze_triple(curve, triple, k, known)
+    if any(m is None for _, m, _ in analysis):
         raise LineIsComponentError("line is a component of the curve")
-    reports = tuple(
-        _report(curve.degree, p, m, excluded) for p, m, excluded in zip(polys, mults, shared)
-    )
-    return sum(r.simple_roots for r in reports), reports
+    reports = [_report(curve.degree, p, m, shared) for p, m, shared in analysis]
+    return 2 * sum(r.simple_roots for r in reports), tuple(r for r in reports for _ in range(2))
 
 
 def choose_transverse_triple(
@@ -556,7 +531,7 @@ def choose_transverse_triple(
     on-curve points whose line's restriction has only simple roots and the
     least degree drop, then skips a point when a crossing of its lines with
     an earlier pick's lies on the curve, read off those restrictions.  The
-    returned count is re-verified on all six lines with mutual exclusions,
+    returned count is checked again on all six lines with mutual exclusions,
     so a returned selection is sound independently of the greedy heuristics.
     """
     d = curve.degree
@@ -624,13 +599,10 @@ def choose_transverse_triple(
         transcript.append({"step": "good-set", "size": len(good), "mu_estimate": d - top})
 
         def crossings_clear(a: LatticePoint, b: LatticePoint) -> bool:
-            # neither mixed-family crossing of the lines of a and b is on the curve
-            return not any(
-                _is_root(
-                    restricted[u][0],
-                    _crossing_parameter(IsotropicLine(u, k), IsotropicLine(v, k, True)),
-                )
-                for u, v in ((a, b), (b, a))
+            # the line of a crosses the conjugate line of b off the curve, and
+            # so, by conjugation, the line of b crosses that of a off it
+            return not _is_root(
+                restricted[a][0], _crossing_parameter(IsotropicLine(a, k), IsotropicLine(b, k, True))
             )
 
         chosen = []
@@ -657,8 +629,7 @@ def choose_transverse_triple(
             f"hypothesis violation: {count} transverse points, need {required}",
             tuple(transcript),
         )
-    verified = (curve, {p: restricted[p] for p in triple})
-    return TripleSelection(triple, k, count, required, tuple(transcript), verified)
+    return TripleSelection(triple, k, count, required, tuple(transcript))
 
 
 @dataclass(frozen=True)
@@ -710,14 +681,13 @@ def build_double_cover(
     be affine (no degree drop), every pairwise line crossing off the curve,
     and the curve smooth (automatic for degree 1, caller-asserted above).
     Anything else falls back to the interval bounds r in [6, 6d] and genus
-    in [2, d^2 + 1].
+    in [2, d^2 + 1].  A conjugate line has its partner's root
+    multiplicities and the conjugates of its shared crossings, so r is
+    twice the odd-multiplicity root count of the lines of the base points.
     """
-    known: dict = {}
     if isinstance(triple, TripleSelection):
         if k is not None and k != triple.k:
             raise CurveliftError("conflicting field parameters for the cover")
-        if triple.verified is not None and triple.verified[0] == curve:
-            known = triple.verified[1]
         k = triple.k
         triple = triple.triple
     if k is None:
@@ -732,12 +702,11 @@ def build_double_cover(
 
     exact = smooth_curve is True or d == 1
     if exact:
-        _lines, polys, mults, shared = _restrict_six(curve, triple, k, known)
-        exact = None not in mults and all(p.degree == d for p in polys) and not any(shared)
+        analysis = _analyze_triple(curve, triple, k, {})
+        exact = all(m is not None and p.degree == d and not shared for p, m, shared in analysis)
     if exact:
-        r_exact = sum(n for m in mults for mult, n in m if mult % 2 == 1)
-        if r_exact % 2 == 1 or not 6 <= r_exact <= 6 * d:
-            exact = False
+        r_exact = 2 * sum(n for _, m, _ in analysis for mult, n in m if mult % 2 == 1)
+        exact = 6 <= r_exact <= 6 * d
 
     if exact:
         g_c = (d - 1) * (d - 2) // 2

@@ -76,6 +76,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def _parse_integer(text: str) -> int:
+    """Parse a command-line integer: a rational literal without a denominator.
+
+    The digits must be ASCII, with no blanks or underscores around or
+    between them; a sign is allowed.
+    """
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise ExactnumError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
 def parse_int(value: int) -> int:
     """Parse a wire integer: a JSON int only; rejects bools, floats and strings."""
     if type(value) is not int:
@@ -108,12 +120,12 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
-def _squarefree_split_int(n: int, prime_bound: int) -> tuple[int, int]:
-    # n = s * r^2 with s squarefree, via trial division up to prime_bound.
+def _squarefree_split_int(n: int) -> tuple[int, int]:
+    # n = s * r^2 with s squarefree, via trial division up to DEFAULT_PRIME_BOUND.
     s = 1
     r = 1
     d = 2
-    while d <= prime_bound and d * d <= n:
+    while d <= DEFAULT_PRIME_BOUND and d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -129,38 +141,36 @@ def _squarefree_split_int(n: int, prime_bound: int) -> tuple[int, int]:
     if root * root == n:
         # Residue is a perfect square; its squarefreeness is irrelevant.
         return s, r * root
-    if d * d > n or n <= prime_bound * prime_bound:
-        # All remaining prime factors exceed prime_bound, so a residue at
-        # most prime_bound^2 (and not a square) must itself be prime.
+    if d * d > n or n <= DEFAULT_PRIME_BOUND * DEFAULT_PRIME_BOUND:
+        # All remaining prime factors exceed the bound, so a residue at
+        # most its square (and not a square) must itself be prime.
         return s * n, r
     raise UnfactoredResidueError(
-        f"unfactored residue {n} exceeds prime bound {prime_bound}"
+        f"unfactored residue {n} exceeds prime bound {DEFAULT_PRIME_BOUND}"
     )
 
 
-def squarefree_part(
-    q: Fraction | int, prime_bound: int = DEFAULT_PRIME_BOUND
-) -> tuple[int, Fraction]:
+def squarefree_part(q: Fraction | int) -> tuple[int, Fraction]:
     """Write q > 0 as s * r^2 with s a positive squarefree integer, r in Q.
 
     s = 1 exactly when q is a rational square.  Inputs whose factorization
-    is not resolved by trial division up to ``prime_bound`` raise
+    is not resolved by trial division up to ``DEFAULT_PRIME_BOUND`` raise
     UnfactoredResidueError instead of being silently mis-normalized.
     """
     q = Fraction(q)
     if q <= 0:
         raise ExactnumError(f"squarefree_part of nonpositive value {q}")
-    sn, rn = _squarefree_split_int(q.numerator, prime_bound)
-    sd, rd = _squarefree_split_int(q.denominator, prime_bound)
+    sn, rn = _squarefree_split_int(q.numerator)
+    sd, rd = _squarefree_split_int(q.denominator)
     # q = (sn/sd) * (rn/rd)^2 and gcd(sn, sd) = 1, so sn*sd is squarefree:
     # q = (sn*sd) * (rn / (rd*sd))^2.
     return sn * sd, Fraction(rn, rd * sd)
 
 
-def is_squarefree(n: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> bool:
+def is_squarefree(n: int) -> bool:
     if n < 1:
         return False
-    s, _ = _squarefree_split_int(n, prime_bound)
+    s, _ = _squarefree_split_int(n)
     return s == n
 
 

@@ -247,7 +247,7 @@ def embed_from_distances(m: DistanceMatrix, provenance: str = "embed_from_distan
     distance by 1/d(0,1); the shared k is the common squarefree part of the
     leftover vertical components.  Signs are resolved greedily (first
     nonzero yc positive, later signs matched against one cross distance
-    each) and the whole matrix is re-verified at the end.
+    each) and the whole matrix is checked again at the end.
     """
     n = m.n
     if n < 2:

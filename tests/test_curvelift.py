@@ -28,7 +28,6 @@ from ratdist.curvelift import (
     LineIsComponentError,
     PlaneCurve,
     ThresholdError,
-    TripleSelection,
     UseInversionFirstError,
     build_double_cover,
     choose_transverse_triple,
@@ -37,11 +36,10 @@ from ratdist.curvelift import (
     point_is_smooth,
     quadric_polynomial,
     reflection_across_line,
+    _analyze_triple,
     _crossing_parameter,
     _poly_norm,
-    _restrict_six,
     _root_multiplicities,
-    _shared_curve_points,
     six_lines,
     substitute_line,
     threshold,
@@ -380,47 +378,6 @@ def test_branch_sextic_matches_the_fraction_product(seed):
     assert cover.branch_sextic == tuple(sorted((i, j, l, c) for (i, j, l), c in expected.items()))
 
 
-def _count_calls(monkeypatch, name: str) -> dict:
-    calls = {name: 0}
-
-    def counted(*args, _f=getattr(curvelift, name)):
-        calls[name] += 1
-        return _f(*args)
-
-    monkeypatch.setattr(curvelift, name, counted)
-    return calls
-
-
-def test_cover_reuses_the_selection_restrictions(monkeypatch):
-    # degree 1: the count restricts the three chosen lines and the cover reuses them
-    cands = candidates((0, 1), (0, -1), (0, 2), (1, 1), (2, 5))
-    plain = build_double_cover(X_AXIS, choose_transverse_triple(X_AXIS, cands).triple, k=1)
-    calls = _count_calls(monkeypatch, "substitute_line")
-    sel = choose_transverse_triple(X_AXIS, cands)
-    assert calls["substitute_line"] == 3
-    assert build_double_cover(X_AXIS, sel) == plain
-    assert calls["substitute_line"] == 3
-    # degree 3: one restriction per on-curve candidate, none in the cover,
-    # whose exact path (forced by smooth_curve) reads all six lines
-    curve, points = parabola_bisector_case()
-    sel = choose_transverse_triple(curve, points)
-    build_double_cover(curve, sel, smooth_curve=True)
-    assert calls["substitute_line"] == 3 + 15
-
-
-def test_selection_restrictions_are_not_part_of_its_value(monkeypatch):
-    cands = candidates((0, 1), (0, -1), (0, 2), (1, 1), (2, 5))
-    sel = choose_transverse_triple(X_AXIS, cands)
-    bare = TripleSelection(sel.triple, sel.k, sel.transverse_points, sel.required_points, sel.transcript)
-    assert sel.verified is not None and bare.verified is None
-    assert sel == bare and repr(sel) == repr(bare)
-    # a selection made for another curve is not trusted: its lines are restricted again
-    calls = _count_calls(monkeypatch, "substitute_line")
-    other = line_curve(1, 0, 0)  # the y-axis, on which (0, 1) and (0, 2) lie
-    assert build_double_cover(other, sel) == build_double_cover(other, sel.triple, k=1)
-    assert calls["substitute_line"] == 6
-
-
 def test_double_cover_argument_validation():
     with pytest.raises(UseInversionFirstError):
         build_double_cover(UNIT_CIRCLE, (pt(1, 1), pt(2, 2), pt(3, 1)), k=1)
@@ -554,6 +511,14 @@ def oracle_shared_curve_points(curve: PlaneCurve, lines) -> list[list]:
             shared[i].append((x0, y0))
             shared[j].append((x0, y0))
     return shared
+
+
+def oracle_shared_parameters(curve: PlaneCurve, lines) -> list[set]:
+    """Per line, the parameters of its oracle-found shared points."""
+    return [
+        {line.parameter_of(*point) for point in points}
+        for line, points in zip(lines, oracle_shared_curve_points(curve, lines))
+    ]
 
 
 def oracle_transverse_union(curve: PlaneCurve, triple, k: int):
@@ -695,16 +660,15 @@ def test_substitute_line_matches_fraction_oracle(case, which, conjugate):
 @settings(max_examples=40, deadline=None)
 @given(curve_cases())
 def test_six_lines_match_oracles(case):
+    # the analysis of a base point answers for its line, and its conjugates
+    # for the conjugate line
     curve, triple, k = case
-    lines, polys, mults, shared = _restrict_six(curve, triple, k, {})
-    oracle_polys = [oracle_substitute_line(curve, line) for line in lines]
-    assert polys == oracle_polys
-    oracle_points = oracle_shared_curve_points(curve, lines)
-    assert shared == [
-        {line.parameter_of(*point) for point in points}
-        for line, points in zip(lines, oracle_points)
-    ]
-    assert _shared_curve_points(lines, oracle_polys) == shared
+    lines = six_lines(triple, k)
+    polys, _mults, shared = zip(*_analyze_triple(curve, triple, k, {}))
+    assert polys == tuple(oracle_substitute_line(curve, line) for line in lines[::2])
+    want = oracle_shared_parameters(curve, lines)
+    assert list(shared) == want[::2]
+    assert [{t.conjugate() for t in s} for s in shared] == want[1::2]
 
     got = _outcome(count_transverse_union, curve, triple, k)
     assert got == _outcome(oracle_transverse_union, curve, triple, k)
@@ -876,6 +840,29 @@ def test_choose_triple_matches_evaluation_oracle(seed):
         assert any(s.get("reason") == "line in curve" for s in transcript)
 
 
+# the command-line cover examples that reach a selection; x^2 y, also run
+# there, reaches none
+CLI_COVER_CASES = {
+    "x axis": (X_AXIS, candidates((0, 1), (0, -1), (0, 2), (1, 1), (2, 5))),
+    "slanted": (
+        line_curve(2, -3, 1),
+        Configuration(3, tuple(pt(F(x), F(y)) for x, y in (
+            ("1/2", "1/3"), ("-1/2", "2/3"), ("2/3", "-1/2"), ("3/2", "5/3"), ("-4/3", "1/2")
+        ))),
+    ),
+    "parabola bisector": parabola_bisector_case(),
+}
+
+
+@pytest.mark.parametrize("case", [*CLI_COVER_CASES, *range(12)])
+def test_cover_of_a_selection_is_the_cover_of_its_triple(case):
+    curve, cands = CLI_COVER_CASES[case] if case in CLI_COVER_CASES else seeded_curve_case(case)
+    sel = choose_transverse_triple(curve, cands)
+    for smooth in (None, True):
+        bare = build_double_cover(curve, sel.triple, k=sel.k, smooth_curve=smooth)
+        assert build_double_cover(curve, sel, smooth_curve=smooth) == bare
+
+
 # ---------------------------------------------------------------------------
 # modular certificates against the exact oracles
 
@@ -1001,16 +988,13 @@ def test_six_lines_under_either_prime_match_oracles(primes, case):
     if k not in SMALL_GOOD_PRIMES:
         return
     lines = six_lines(triple, k)
-    polys = [oracle_substitute_line(curve, line) for line in lines]
-    want = [
-        {line.parameter_of(*point) for point in points}
-        for line, points in zip(lines, oracle_shared_curve_points(curve, lines))
-    ]
+    want = oracle_shared_parameters(curve, lines)
     with good_primes(primes):
-        assert _shared_curve_points(lines, polys) == want
-        _lines, _polys, mults, shared = _restrict_six(curve, triple, k, {})
-    assert shared == want
-    assert mults == [None if p.is_zero() else oracle_root_multiplicities(p) for p in polys]
+        polys, mults, shared = zip(*_analyze_triple(curve, triple, k, {}))
+    assert polys == tuple(oracle_substitute_line(curve, line) for line in lines[::2])
+    assert list(shared) == want[::2]
+    assert [{t.conjugate() for t in s} for s in shared] == want[1::2]
+    assert mults == tuple(None if p.is_zero() else oracle_root_multiplicities(p) for p in polys)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])

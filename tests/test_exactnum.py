@@ -150,14 +150,14 @@ def test_squarefree_part_nonpositive_raises():
 
 
 def test_squarefree_part_large_prime_residues():
-    p = 10_007  # prime above the tiny bound used here
+    p = 100_003  # prime above DEFAULT_PRIME_BOUND
     # square residue beyond the bound is still resolvable
-    assert squarefree_part(Fraction(p * p), prime_bound=100) == (1, Fraction(p))
+    assert squarefree_part(Fraction(p * p)) == (1, Fraction(p))
     # a single prime residue <= bound^2 must be prime, hence squarefree
-    assert squarefree_part(Fraction(p), prime_bound=100) == (p, Fraction(1))
-    # product of two distinct large primes exceeds bound^2: rejected
+    assert squarefree_part(Fraction(p)) == (p, Fraction(1))
+    # product of three distinct large primes exceeds bound^2: rejected
     with pytest.raises(UnfactoredResidueError):
-        squarefree_part(Fraction(10_007 * 10_009 * 10_037), prime_bound=100)
+        squarefree_part(Fraction(100_003 * 100_019 * 100_043))
 
 
 @given(st.fractions(min_value=Fraction(1, 10**4), max_value=10**4, max_denominator=10**4))

@@ -306,17 +306,16 @@ def search_dir(tmp_path_factory):
 
 WORKERS_TEXT = (
     st.integers(-3, 8).map(str)
-    | st.sampled_from(["0", "-1", str(10**6), "1.5", "", "abc", " 2", "\u0663"])
+    | st.sampled_from(["0", "-1", "+2", str(10**6), "1.5", "", "abc", " 2", "2 ", "2_0", "\u0663"])
     | st.integers().map(str)
     | st.text(max_size=4)
 )
 
 
-def _int_or_none(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return None
+def _ascii_int_or_none(text: str):
+    # a command-line integer is an optional sign and ASCII digits, nothing else
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return int(text) if digits and all("0" <= c <= "9" for c in digits) else None
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,14 +333,42 @@ def test_fuzzed_search_gives_one_valid_result(validators, search_dir, args, work
     result, code = run(argv)
     validators["command_result.json"].validate(result)
     assert code == {"ok": 0, "error": 2}[result["status"]]
-    # argparse reads --workers with int(), so " 2" and Arabic-Indic digits pass
-    n = _int_or_none(workers)
+    n = _ascii_int_or_none(workers)
     if n is None or n < 1:
         assert code == 2
     if code == 0:
         validators["checkpoint.json"].validate(result["payload"])
         SearchCheckpoint.from_dict(result["payload"])
     json.dumps(result)
+
+
+# Python's int() also takes blanks, underscores and non-ASCII digits; no
+# integer option or --base part does.  A --base part may have blanks around
+# it, as an --offsets part may.
+CIRCLE4 = json.dumps(generate_circle_rds(4).to_dict())
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["certify", "--m", "\u0664"], 2),
+        (["certify", "--m", " 4 "], 2),
+        (["certify", "--m", "0_4"], 2),
+        (["invert", "--center", "\u0660"], 2),
+        (["invert", "--center", " 0"], 2),
+        (["lift", "--base", "0,1,2,\u0663"], 2),
+        (["lift", "--base", "0,1,,2,3"], 2),
+        (["lift", "--base", "0,1,2,3,"], 2),
+        (["lift", "--base", "0, 1, 2, 3"], 0),
+        (["generate", "line", "--n", "+3"], 0),
+        (["certify", "--m", "+4"], 0),
+    ],
+)
+def test_command_line_integers_are_ascii_digits(validators, argv, expected):
+    with mock.patch("sys.stdin", io.StringIO(CIRCLE4)):
+        result, code = run(argv)
+    validators["command_result.json"].validate(result)
+    assert code == expected, result
 
 
 # cover through run(): curve JSON at the edges of docs/schemas/curve.json.

@@ -266,7 +266,7 @@ def _cmd_generate(args) -> dict:
         if args.offsets:
             offsets = [parse_rational(t.strip()) for t in args.offsets.split(",")]
         else:
-            offsets = list(range(args.n))
+            offsets = range(args.n)
         c = generate_line_rds(args.n, offsets)
     else:
         c = generate_circle_rds(args.n, parameter_bound=args.parameter_bound)

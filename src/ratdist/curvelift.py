@@ -110,18 +110,6 @@ def _poly_norm(items) -> dict:
     return out
 
 
-def _poly_diff(p: dict, axis: int) -> dict:
-    out = []
-    for exps, c in p.items():
-        e = exps[axis]
-        if e == 0:
-            continue
-        new = list(exps)
-        new[axis] = e - 1
-        out.append((tuple(new), c * e))
-    return _poly_norm(out)
-
-
 def _poly_eval(p: dict, x, y, z):
     acc = None
     for (i, j, l), c in p.items():
@@ -130,20 +118,6 @@ def _poly_eval(p: dict, x, y, z):
     if acc is None:
         return Fraction(0)
     return acc
-
-
-def quadric_polynomial(base: LatticePoint, k: int) -> dict:
-    """The distance quadric (x - az)^2 + k*(y - bz)^2 through (a, b)."""
-    a, b = base.x, base.yc
-    return _poly_norm(
-        [
-            ((2, 0, 0), Fraction(1)),
-            ((1, 0, 1), -2 * a),
-            ((0, 2, 0), Fraction(k)),
-            ((0, 1, 1), -2 * k * b),
-            ((0, 0, 2), a * a + k * b * b),
-        ]
-    )
 
 
 def _branch_sextic(
@@ -211,10 +185,6 @@ class PlaneCurve:
     def contains(self, p: LatticePoint) -> bool:
         return self.evaluate(p.x, p.yc, Fraction(1)) == 0
 
-    def partials(self) -> tuple[dict, dict, dict]:
-        c = self.coeffs
-        return _poly_diff(c, 0), _poly_diff(c, 1), _poly_diff(c, 2)
-
     def to_dict(self) -> dict:
         return {
             "degree": self.degree,
@@ -244,15 +214,6 @@ def line_curve(alpha, beta, gamma) -> PlaneCurve:
     """The rational line alpha*x + beta*y + gamma*z = 0."""
     return PlaneCurve.from_coeffs(
         {(1, 0, 0): Fraction(alpha), (0, 1, 0): Fraction(beta), (0, 0, 1): Fraction(gamma)}
-    )
-
-
-def point_is_smooth(curve: PlaneCurve, p: LatticePoint) -> bool:
-    """Exact smoothness test of the curve at an on-curve lattice point."""
-    if not curve.contains(p):
-        raise CurveliftError("smoothness test requires a point on the curve")
-    return any(
-        _poly_eval(part, p.x, p.yc, Fraction(1)) != 0 for part in curve.partials()
     )
 
 
@@ -449,19 +410,6 @@ class TripleSelection:
     required_points: int
     transcript: tuple[dict, ...]
 
-    def lines(self) -> tuple[IsotropicLine, ...]:
-        return six_lines(self.triple, self.k)
-
-
-def six_lines(
-    triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int
-) -> tuple[IsotropicLine, ...]:
-    out = []
-    for p in triple:
-        out.append(IsotropicLine(p, k, conjugate=False))
-        out.append(IsotropicLine(p, k, conjugate=True))
-    return tuple(out)
-
 
 def _require_distinct(triple: tuple[LatticePoint, LatticePoint, LatticePoint]) -> None:
     # a repeated base point would count the lines through it twice
@@ -505,9 +453,10 @@ def count_transverse_union(
 
     Points on two of the six lines are excluded (the union is singular
     there, so the intersection with the curve cannot be transverse).  The
-    reports follow ``six_lines``; conjugation swaps each line with its
-    conjugate line, so a conjugate line's report is its partner's and the
-    count is twice the sum over the base points.
+    reports come in triple order, each base point's line, then its
+    conjugate line; conjugation swaps each line with its conjugate line,
+    so a conjugate line's report is its partner's and the count is twice
+    the sum over the base points.
     """
     return _count_transverse_union(curve, triple, k, {})
 

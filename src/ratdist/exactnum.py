@@ -211,9 +211,6 @@ class ImQuadElement:
         o = self._coerce(other)
         return ImQuadElement(self.re - o.re, self.im - o.im, self.k)
 
-    def __rsub__(self, other: "Fraction | int") -> "ImQuadElement":
-        return self._coerce(other) - self
-
     def __neg__(self) -> "ImQuadElement":
         return ImQuadElement(-self.re, -self.im, self.k)
 
@@ -265,11 +262,6 @@ class ImQuadElement:
     @classmethod
     def from_dict(cls, d: dict) -> "ImQuadElement":
         return cls(parse_rational(d["re"]), parse_rational(d["im"]), parse_int(d["k"]))
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return format_rational(self.re)
-        return f"{format_rational(self.re)} + {format_rational(self.im)}*w"
 
 
 def omega(k: int) -> ImQuadElement:
@@ -436,14 +428,6 @@ class ImQuadPoly:
         for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
-
-    def conjugate_coeffs(self) -> "ImQuadPoly":
-        return ImQuadPoly(tuple(c.conjugate() for c in self.coeffs), self.k)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"({c})*t^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero())
 
 
 def poly_gcd(p: ImQuadPoly, q: ImQuadPoly) -> ImQuadPoly:

@@ -4,10 +4,10 @@ The search grid holds the lattice points (p/q, (r/q') * sqrt(k)) with
 |p|, |r| <= numerator_bound and q, q' <= denominator_bound.  On planeset's
 integer lattice, whose L is the least common multiple of 1..denominator_bound
 as every 1/q is on the grid, two grid points are at rational distance iff
-the integer (dX)^2 + k*(dY)^2 is a perfect square.  Each ``search`` call tests every
-grid pair once and keeps the answers as a bitset adjacency; a rational
-distance set of the target size is then a clique of that graph, listed by
-bitset recursion (Bron & Kerbosch, CACM 1973).
+the integer (dX)^2 + k*(dY)^2 is a perfect square.  Each ``search`` call that
+processes a cell tests every grid pair once and keeps the answers as a bitset
+adjacency; a rational distance set of the target size is then a clique of
+that graph, listed by bitset recursion (Bron & Kerbosch, CACM 1973).
 
 Complete sets are filtered by the requested general-position predicate and
 mapped to a canonical representative of their similarity class (first two
@@ -40,6 +40,11 @@ from .planeset import (
     integer_lattice,
     verify_rds,
 )
+
+
+# Largest n that generate_line_rds and generate_circle_rds accept, checked
+# before anything is allocated.
+MAX_N = 10_000
 
 
 class SearchgenError(ValueError):
@@ -149,6 +154,8 @@ def _check_found(spec: SearchSpec, c: Configuration, index: int) -> None:
 
 def generate_line_rds(n: int, offsets: "list[Fraction | int]") -> Configuration:
     """Collinear fixture: points (offset_i, 0) with k = 1; always an RDS."""
+    if n > MAX_N:
+        raise SearchgenError(f"n={n} exceeds the supported maximum MAX_N={MAX_N}")
     offs = [Fraction(o) for o in offsets]
     if len(offs) != n:
         raise SearchgenError(f"expected {n} offsets, got {len(offs)}")
@@ -174,9 +181,13 @@ def generate_circle_rds(n: int, parameter_bound: int = 200) -> Configuration:
     Uses angles 2*theta with (cos theta, sin theta) = (odd leg, even leg)
     over the hypotenuse of distinct primitive right triangles, plus the
     anchor (1, 0); every chord is 2*|sin(theta_i - theta_j)|, a rational.
+    The scan stops after n points or after every parameter pair up to
+    parameter_bound, whichever comes first.
     """
     if n < 1:
         raise SearchgenError("need at least one point")
+    if n > MAX_N:
+        raise SearchgenError(f"n={n} exceeds the supported maximum MAX_N={MAX_N}")
     points: list[LatticePoint] = [LatticePoint(Fraction(1), Fraction(0))]
     for a, b, c in _primitive_triples(parameter_bound):
         if len(points) == n:
@@ -371,8 +382,9 @@ def search(
 
     Deterministic for a given spec regardless of where the run is split;
     ``max_cells`` (nonnegative) bounds how many first-point cells this call
-    processes so long runs can checkpoint and resume.  ``workers`` must be
-    at least 1 and has no other effect: the search runs in this process.
+    processes so long runs can checkpoint and resume; a call that processes
+    no cell tests no grid pair.  ``workers`` must be at least 1 and has no
+    other effect: the search runs in this process.
     ``progress`` is an optional callable receiving one dict per processed
     cell, in cell order.
     """
@@ -402,7 +414,7 @@ def search(
         for cfg in checkpoint.found:
             absorb(cfg)
 
-    adjacency = _adjacency(grid, spec.k)
+    adjacency = _adjacency(grid, spec.k) if todo else []
     for cell in todo:
         for cfg in _search_one_cell(spec, grid, adjacency, cell):
             absorb(cfg)

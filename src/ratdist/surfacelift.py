@@ -32,7 +32,6 @@ from .exactnum import (
     ImQuadElement,
     _int_pairs,
     format_rational,
-    omega,
     parse_int,
     parse_rational,
 )
@@ -367,16 +366,6 @@ def certify_V(
 
 # ---------------------------------------------------------------------------
 # Jacobian spot check
-
-
-def infinity_singular_points(sys: QuadricSystem) -> tuple[tuple[ImQuadElement, ...], ...]:
-    """The two points of V over the circular points (-w, 1, 0) and (w, 1, 0)."""
-    k = sys.k
-    w = omega(k)
-    zero = ImQuadElement.from_rational(0, k)
-    one = ImQuadElement.from_rational(1, k)
-    tail = (zero,) * sys.m
-    return ((-w, one, zero) + tail, (w, one, zero) + tail)
 
 
 def _block_rank(rows: list[list[tuple[int, int]]], k: int) -> int:

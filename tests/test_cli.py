@@ -109,6 +109,30 @@ def test_generate_line_offsets_may_be_spaced():
     assert [p["x"] for p in spaced["payload"]["points"]] == ["0", "1", "5/2"]
 
 
+# the CLI in a child limited to 1 GiB of address space
+LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from ratdist.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**18])
+@pytest.mark.parametrize("family", [["line"], ["circle", "--parameter-bound", "1000000"]])
+def test_generate_refuses_n_above_the_maximum(family, n):
+    # refused before anything is allocated: exit 2 and one CommandResult
+    argv = ["generate", *family, "--n", str(n)]
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    result = json.loads(proc.stdout)
+    assert result["status"] == "error" and result["payload"] == {}
+    assert "MAX_N=10000" in result["diagnostics"][0]["message"]
+
+
 def test_normalize_large_k_rds(tmp_path):
     # verify accepts this set; normalizing it must not factor its verticals
     config = tmp_path / "large_k.json"

@@ -33,14 +33,12 @@ from ratdist.curvelift import (
     choose_transverse_triple,
     count_transverse_union,
     line_curve,
-    point_is_smooth,
-    quadric_polynomial,
     reflection_across_line,
     _analyze_triple,
     _crossing_parameter,
+    _poly_eval,
     _poly_norm,
     _root_multiplicities,
-    six_lines,
     substitute_line,
     threshold,
     transversality_report,
@@ -60,6 +58,46 @@ def _poly_mul(p: dict, q: dict) -> dict:
         ((ip + iq, jp + jq, lp + lq), cp * cq)
         for (ip, jp, lp), cp in p.items()
         for (iq, jq, lq), cq in q.items()
+    )
+
+
+def quadric_polynomial(base: LatticePoint, k: int) -> dict:
+    """The distance quadric (x - az)^2 + k*(y - bz)^2 through (a, b), in Fractions."""
+    a, b = base.x, base.yc
+    return _poly_norm(
+        [
+            ((2, 0, 0), F(1)),
+            ((1, 0, 1), -2 * a),
+            ((0, 2, 0), F(k)),
+            ((0, 1, 1), -2 * k * b),
+            ((0, 0, 2), a * a + k * b * b),
+        ]
+    )
+
+
+def six_lines(triple, k: int) -> tuple[IsotropicLine, ...]:
+    """Each base point's isotropic line, then its conjugate line."""
+    return tuple(IsotropicLine(p, k, conjugate) for p in triple for conjugate in (False, True))
+
+
+def _poly_diff(p: dict, axis: int) -> dict:
+    out = []
+    for exps, c in p.items():
+        e = exps[axis]
+        if e == 0:
+            continue
+        new = list(exps)
+        new[axis] = e - 1
+        out.append((tuple(new), c * e))
+    return _poly_norm(out)
+
+
+def point_is_smooth(curve: PlaneCurve, p: LatticePoint) -> bool:
+    """Exact smoothness test of the curve at an on-curve lattice point."""
+    if not curve.contains(p):
+        raise CurveliftError("smoothness test requires a point on the curve")
+    return any(
+        _poly_eval(_poly_diff(curve.coeffs, axis), p.x, p.yc, F(1)) != 0 for axis in range(3)
     )
 
 
@@ -131,7 +169,8 @@ def test_substitute_circle_through_isotropic_center():
 def test_substitute_conjugate_is_coefficientwise_conjugate(a, b, k, conj):
     curve = NODAL_CUBIC
     line = IsotropicLine(pt(a, b), k, conjugate=conj)
-    assert substitute_line(curve, line.conjugated()) == substitute_line(curve, line).conjugate_coeffs()
+    conjugate = tuple(c.conjugate() for c in substitute_line(curve, line).coeffs)
+    assert substitute_line(curve, line.conjugated()).coeffs == conjugate
 
 
 @settings(max_examples=40, deadline=None)

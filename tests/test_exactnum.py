@@ -596,7 +596,8 @@ def test_modular_yun_rebuilds_factors_off_the_real_line(k):
         *[_poly(k, 5, Fraction(2, 7) * w, 1)] * 3,
     )
     assert _modular_root_multiplicities(f) == ((1, 2), (2, 1), (3, 3))
-    assert _modular_root_multiplicities(f.conjugate_coeffs()) == ((1, 2), (2, 1), (3, 3))
+    conjugate = ImQuadPoly(tuple(c.conjugate() for c in f.coeffs), f.k)
+    assert _modular_root_multiplicities(conjugate) == ((1, 2), (2, 1), (3, 3))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])

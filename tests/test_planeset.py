@@ -19,8 +19,6 @@ from ratdist.planeset import (
     PlanesetError,
     VerifyReport,
     audit_general_position,
-    collinear,
-    concyclic,
     distance_matrix,
     embed_from_distances,
     integer_lattice,
@@ -393,6 +391,40 @@ def test_canonical_form_is_the_least_normalize_over_orderings(c):
 
 # ---------------------------------------------------------------------------
 # predicates
+#
+# Fraction determinant tests, the oracles of the brute-force audit below.
+
+
+def collinear(p1: LatticePoint, p2: LatticePoint, p3: LatticePoint) -> bool:
+    """Exact 3x3 determinant test in lattice coordinates.
+
+    With y = yc*sqrt(k) the true determinant is sqrt(k) times the lattice
+    one, so vanishing is k-independent.
+    """
+    det = (p2.x - p1.x) * (p3.yc - p1.yc) - (p3.x - p1.x) * (p2.yc - p1.yc)
+    return det == 0
+
+
+def concyclic(
+    p1: LatticePoint, p2: LatticePoint, p3: LatticePoint, p4: LatticePoint, k: int
+) -> bool:
+    """True iff the four points lie on a common circle or line.
+
+    4x4 determinant with leading column x^2 + k*yc^2; combine with
+    ``collinear`` to separate genuine circles from lines.
+    """
+    pts = (p1, p2, p3, p4)
+    if len(set(pts)) != 4:
+        raise PlanesetError("concyclic test requires four distinct points")
+    rows = [(p.x * p.x + k * p.yc * p.yc, p.x, p.yc, F(1)) for p in pts]
+    top = rows[0]
+    reduced = [[rows[i][c] - top[c] for c in range(4)] for i in range(1, 4)]
+    det = (
+        reduced[0][0] * (reduced[1][1] * reduced[2][2] - reduced[1][2] * reduced[2][1])
+        - reduced[0][1] * (reduced[1][0] * reduced[2][2] - reduced[1][2] * reduced[2][0])
+        + reduced[0][2] * (reduced[1][0] * reduced[2][1] - reduced[1][1] * reduced[2][0])
+    )
+    return det == 0
 
 
 def test_collinear_examples():

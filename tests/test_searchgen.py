@@ -25,6 +25,7 @@ from ratdist.planeset import (
     verify_rds,
 )
 from ratdist.searchgen import (
+    MAX_N,
     Requirement,
     SearchCheckpoint,
     SearchSpec,
@@ -142,6 +143,30 @@ def test_generate_circle_rds_verifies_and_is_concyclic():
 def test_generate_circle_rds_bound_hint():
     with pytest.raises(SearchgenError, match="parameter_bound"):
         generate_circle_rds(50, parameter_bound=5)
+
+
+def test_generators_refuse_n_above_the_maximum_before_reading_offsets():
+    def unread():
+        raise AssertionError("offsets were read")
+        yield
+
+    for n in (MAX_N + 1, 10**18):
+        with pytest.raises(SearchgenError, match="MAX_N"):
+            generate_line_rds(n, unread())
+        with pytest.raises(SearchgenError, match="MAX_N"):
+            generate_circle_rds(n, parameter_bound=5)
+
+
+def test_generators_accept_n_up_to_the_maximum():
+    assert generate_line_rds(MAX_N, range(MAX_N)).n == MAX_N
+    assert generate_circle_rds(MAX_N, parameter_bound=300).n == MAX_N
+
+
+def test_generate_circle_rds_stops_after_n_points():
+    # a huge bound costs nothing once n points are found
+    start = time.perf_counter()
+    assert generate_circle_rds(8, parameter_bound=10**18) == generate_circle_rds(8)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +548,21 @@ def test_search_rejects_negative_max_cells():
     with pytest.raises(SearchgenError, match="max_cells"):
         search(TINY, max_cells=-1)
     assert search(TINY, max_cells=0).exhausted_ranges == ()
+
+
+def test_search_that_processes_no_cell_tests_no_pair(monkeypatch):
+    full, part = search(TINY), search(TINY, max_cells=7)
+
+    def refuse(grid, k):
+        raise AssertionError("the adjacency was built")
+
+    monkeypatch.setattr(searchgen, "_adjacency", refuse)
+    events = []
+    empty = search(TINY, max_cells=0, progress=events.append)
+    assert empty.to_dict() == {"spec": TINY.to_dict(), "found": [], "exhausted_ranges": []}
+    assert search(checkpoint=part, max_cells=0, progress=events.append) == part
+    assert search(checkpoint=full, progress=events.append) == full
+    assert events == []
 
 
 def test_search_found_all_satisfy_requirement_invariant():

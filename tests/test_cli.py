@@ -118,19 +118,51 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _limited_cli(argv, stdin_text=None):
+    # one CommandResult from a child with 1 GiB of address space and 30 s
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, *argv],
+        input=stdin_text, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.stderr == ""
+    return proc.returncode, json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("n", [10**6, 10**9, 10**18])
 @pytest.mark.parametrize("family", [["line"], ["circle", "--parameter-bound", "1000000"]])
 def test_generate_refuses_n_above_the_maximum(family, n):
     # refused before anything is allocated: exit 2 and one CommandResult
-    argv = ["generate", *family, "--n", str(n)]
-    proc = subprocess.run(
-        [sys.executable, "-c", LIMITED_CLI, *argv], capture_output=True, text=True, timeout=30
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == ""
-    result = json.loads(proc.stdout)
+    code, result = _limited_cli(["generate", *family, "--n", str(n)])
+    assert code == 2
     assert result["status"] == "error" and result["payload"] == {}
     assert "MAX_N=10000" in result["diagnostics"][0]["message"]
+
+
+@pytest.mark.parametrize(
+    "bounds", [(3000, 1), (10**6, 1), (10**9, 1), (10**18, 1), (1, 10**9)]
+)
+@pytest.mark.parametrize("mode", ["spec", "resume"])
+def test_search_refuses_a_grid_above_the_cell_cap(bounds, mode):
+    # refused while the spec is decoded, before the grid is built
+    spec = {"k": 1, "numerator_bound": bounds[0], "denominator_bound": bounds[1], "target_size": 3}
+    if mode == "spec":
+        text = json.dumps(spec)
+    else:
+        text = json.dumps({"spec": spec, "found": [], "exhausted_ranges": []})
+    code, result = _limited_cli(["search", f"--{mode}", "-", "--max-cells", "0"], text)
+    assert code == 2
+    assert result["status"] == "error" and result["payload"] == {}
+    assert "MAX_CELLS=10000" in result["diagnostics"][0]["message"]
+
+
+def test_certify_refuses_m_with_base():
+    # --m certifies the family and would ignore the configuration's base
+    rect = config_json(1, [(0, 0), (3, 0), (0, 4), (3, 4)])
+    for base in ("0,1,2", "0,1,2,3"):
+        code, result = _limited_cli(["certify", "--m", "5", "--base", base, "-"], rect)
+        assert code == 2
+        assert result["status"] == "error" and result["payload"] == {}
+        assert "not both" in result["diagnostics"][0]["message"]
 
 
 def test_normalize_large_k_rds(tmp_path):

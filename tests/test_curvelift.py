@@ -23,7 +23,6 @@ from ratdist.exactnum import (
 from ratdist.curvelift import (
     CurveliftError,
     HypothesisViolationError,
-    IrrationalReflectionError,
     IsotropicLine,
     LineIsComponentError,
     PlaneCurve,
@@ -33,7 +32,6 @@ from ratdist.curvelift import (
     choose_transverse_triple,
     count_transverse_union,
     line_curve,
-    reflection_across_line,
     _analyze_triple,
     _crossing_parameter,
     _poly_eval,
@@ -237,7 +235,28 @@ def test_reflected_conjugate_line_shares_the_intersection():
 
 
 # ---------------------------------------------------------------------------
-# reflection
+# reflection: the oracle of the degree-1 selection
+
+
+def reflection_across_line(p: LatticePoint, line: PlaneCurve, k: int = 1) -> LatticePoint:
+    """Euclidean reflection of a lattice point across a rational line.
+
+    Lattice coordinates carry the weighted metric dx^2 + k*dy^2, under
+    which the reflection of a rational point across a rational affine line
+    is again rational.  Only the line at infinity (no affine locus) has no
+    reflection.
+    """
+    if line.degree != 1:
+        raise CurveliftError("reflection needs a degree-1 curve")
+    c = line.coeffs
+    alpha = c.get((1, 0, 0), F(0))
+    beta = c.get((0, 1, 0), F(0))
+    gamma = c.get((0, 0, 1), F(0))
+    if alpha == 0 and beta == 0:
+        raise CurveliftError("line at infinity has no affine reflection in the lattice")
+    u = alpha * p.x + beta * p.yc + gamma
+    n = k * alpha * alpha + beta * beta
+    return LatticePoint(p.x - 2 * u * k * alpha / n, p.yc - 2 * u * beta / n)
 
 
 def test_reflection_examples():
@@ -259,7 +278,7 @@ def test_reflection_weighted_metric():
 
 
 def test_reflection_line_at_infinity_rejected():
-    with pytest.raises(IrrationalReflectionError):
+    with pytest.raises(CurveliftError, match="line at infinity"):
         reflection_across_line(pt(1, 1), line_curve(0, 0, 1), 1)
 
 
@@ -301,9 +320,107 @@ def test_choose_triple_counts_on_curve_points_out():
 def test_choose_triple_line_at_infinity_fails_hypothesis():
     # z = 0 has no affine points: every isotropic line misses it in the
     # affine plane, so the selection can never certify 6 transverse points.
+    # Every restriction is a nonzero constant, so no crossing is on the
+    # curve and the first three candidates are picked.
     cands = candidates((0, 1), (0, -1), (0, 2), (1, 1), (2, 5))
-    with pytest.raises(HypothesisViolationError):
+    with pytest.raises(HypothesisViolationError) as err:
         choose_transverse_triple(line_curve(0, 0, 1), cands)
+    assert [s["step"] for s in err.value.transcript] == ["pick", "pick", "pick", "verify"]
+    assert [s["point"] for s in err.value.transcript[:3]] == [p.to_dict() for p in cands.points[:3]]
+    assert err.value.transcript[3] == {"step": "verify", "transverse_points": 0, "required": 6}
+
+
+def oracle_choose_degree_one(curve: PlaneCurve, cands: Configuration):
+    """The degree-1 selection as a reflection rule: pick the off-line
+    candidates in order, skip the reflection of an earlier pick in the line,
+    then count on the six lines.  Not defined on the line at infinity."""
+    k = cands.k
+    pool = [p for p in cands.points if not curve.contains(p)]
+    if len(pool) < threshold(1):
+        raise ThresholdError(f"need at least {threshold(1)} points off the curve, have {len(pool)}")
+    transcript: list[dict] = []
+    chosen: list[LatticePoint] = []
+    excluded: set[LatticePoint] = set()
+    for p in pool:
+        if len(chosen) == 3:
+            break
+        if p in excluded:
+            transcript.append({"step": "skip", "point": p.to_dict()})
+            continue
+        chosen.append(p)
+        excluded.add(reflection_across_line(p, curve, k))
+        transcript.append({"step": "pick", "point": p.to_dict()})
+    count, _ = count_transverse_union(curve, tuple(chosen), k)
+    transcript.append({"step": "verify", "transverse_points": count, "required": 6})
+    if count < 6:
+        raise HypothesisViolationError(
+            f"hypothesis violation: {count} transverse points, need 6", tuple(transcript)
+        )
+    return tuple(chosen), count, tuple(transcript)
+
+
+def _degree_one_outcome(choose, curve, cands):
+    try:
+        sel = choose(curve, cands)
+    except CurveliftError as err:
+        return type(err), str(err), getattr(err, "transcript", ())
+    if isinstance(sel, tuple):
+        return sel
+    assert sel.required_points == 6
+    return sel.triple, sel.transverse_points, sel.transcript
+
+
+@st.composite
+def degree_one_cases(draw):
+    """A rational line, horizontal, vertical or slanted, and k; then 5..9
+    moves that each add a free point, a point on the line, or the reflection
+    of an earlier point, inserted anywhere, so pairs come in either order."""
+    k = draw(st.sampled_from([1, 2, 3, 7]))
+    nonzero = st.integers(-4, 4).filter(bool)
+    kind = draw(st.sampled_from(["horizontal", "vertical", "slanted"]))
+    alpha = F(0) if kind == "horizontal" else F(draw(nonzero))
+    beta = F(0) if kind == "vertical" else F(draw(nonzero), draw(st.sampled_from([1, 2, 3])))
+    line = line_curve(alpha, beta, draw(RATIONALS))
+    points: list[LatticePoint] = []
+    for _ in range(draw(st.integers(5, 9))):
+        move = draw(st.sampled_from(["free", "free", "on", "mirror", "mirror"]))
+        if move == "on":
+            t = draw(RATIONALS)
+            gamma = line.coeffs.get((0, 0, 1), F(0))
+            p = LatticePoint(t, -(alpha * t + gamma) / beta) if beta else LatticePoint(-gamma / alpha, t)
+        elif move == "mirror" and points:
+            p = reflection_across_line(draw(st.sampled_from(points)), line, k)
+        else:
+            p = draw(POINTS)
+        if p not in points:
+            points.insert(draw(st.integers(0, len(points))), p)
+    return line, Configuration(k, tuple(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_one_cases())
+def test_degree_one_selection_matches_the_reflection_oracle(case):
+    # on a line, the crossing test skips exactly the reflections of earlier picks
+    line, cands = case
+    want = _degree_one_outcome(oracle_choose_degree_one, line, cands)
+    assert _degree_one_outcome(choose_transverse_triple, line, cands) == want
+
+
+def test_degree_one_selection_restricts_three_lines(monkeypatch):
+    # the crossing test reads the restrictions of earlier picks only, and the
+    # final count reuses them: three restrictions for nine candidates
+    cands = candidates((0, 1), (0, -1), (0, 2), (0, -2), (1, 1), (2, 5), (3, 1), (1, -1), (4, 4))
+    expected = choose_transverse_triple(X_AXIS, cands)
+    assert [s["step"] for s in expected.transcript] == ["pick", "skip", "pick", "skip", "pick", "verify"]
+    calls = []
+
+    def counted(*args, _f=curvelift.substitute_line):
+        calls.append(args[1].base)
+        return _f(*args)
+
+    monkeypatch.setattr(curvelift, "substitute_line", counted)
+    assert choose_transverse_triple(X_AXIS, cands) == expected
+    assert sorted(calls) == sorted(expected.triple)
 
 
 def test_six_lines_structure():

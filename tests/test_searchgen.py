@@ -25,6 +25,7 @@ from ratdist.planeset import (
     verify_rds,
 )
 from ratdist.searchgen import (
+    MAX_CELLS,
     MAX_N,
     Requirement,
     SearchCheckpoint,
@@ -396,6 +397,49 @@ def test_spec_validation():
         SearchSpec(k=1, numerator_bound=1, denominator_bound=1, target_size=2)
     with pytest.raises(SearchgenError):
         SearchSpec(k=12, numerator_bound=1, denominator_bound=1, target_size=3)
+
+
+def test_spec_cell_cap_keeps_the_largest_measured_specs():
+    assert MAX_CELLS == 10_000
+    # (30,1,3) is the largest spec timed so far; (49,1,3) has 99^2 = 9,801 cells
+    for n in (30, 49):
+        SearchSpec(k=1, numerator_bound=n, denominator_bound=1, target_size=3)
+    with pytest.raises(SearchgenError, match="MAX_CELLS=10000"):
+        SearchSpec(k=1, numerator_bound=50, denominator_bound=1, target_size=3)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(3000, 1), (10**6, 1), (10**9, 1), (10**18, 1), (1, 10**9), (10**18, 10**18)]
+)
+def test_spec_cell_cap_refuses_before_enumerating(monkeypatch, bounds):
+    # from the lower bound (2 max(N, D) + 1)^2 alone: no grid value is listed
+    def no_grid(spec):
+        raise AssertionError("grid values listed")
+
+    monkeypatch.setattr(searchgen, "_grid_values", no_grid)
+    with pytest.raises(SearchgenError, match="MAX_CELLS"):
+        SearchSpec(k=1, numerator_bound=bounds[0], denominator_bound=bounds[1], target_size=3)
+
+
+def test_spec_cell_cap_is_inclusive(monkeypatch):
+    # (2,2,3) has 7 values per axis, -2, -1, -1/2, 0, 1/2, 1, 2, so 49 cells
+    # against a lower bound of 25: the exact count decides at 48 and 49
+    assert len(grid_points(SearchSpec(1, 2, 2, 3))) == 49
+    monkeypatch.setattr(searchgen, "MAX_CELLS", 49)
+    SearchSpec(1, 2, 2, 3)
+    monkeypatch.setattr(searchgen, "MAX_CELLS", 48)
+    with pytest.raises(SearchgenError, match="at least 49 cells"):
+        SearchSpec(1, 2, 2, 3)
+    # at a cap equal to the lower bound, the exact count still decides
+    monkeypatch.setattr(searchgen, "MAX_CELLS", 25)
+    with pytest.raises(SearchgenError, match="at least 49 cells"):
+        SearchSpec(1, 2, 2, 3)
+    monkeypatch.setattr(searchgen, "MAX_CELLS", 48)
+    # (3,1,3) is refused by its lower bound, 7^2 = 49, at 48 and kept at 49
+    with pytest.raises(SearchgenError, match="at least 49 cells"):
+        SearchSpec(1, 3, 1, 3)
+    monkeypatch.setattr(searchgen, "MAX_CELLS", 49)
+    SearchSpec(1, 3, 1, 3)
 
 
 def test_grid_is_sorted_and_sized():

@@ -228,11 +228,13 @@ def _cmd_certify(args) -> dict:
     if args.m is not None and args.base is not None:
         raise CliUsageError("certify takes --m M or --base, not both")
     if args.m is not None:
+        if args.config is not None or args.from_file is not None:
+            raise CliUsageError("certify --m M reads no configuration; give it --base instead")
         cert = certify_V(args.m)
     else:
         if args.base is None:
             raise CliUsageError("certify needs --m M or a configuration with --base")
-        c = _read_wire(args.from_file or args.config)
+        c = _read_wire(args.from_file or args.config or "-")
         cert = certify_V(sys=build_surface(c, _parse_int_list(args.base)))
     payload = cert.to_dict()
     if cert.verdict:
@@ -316,7 +318,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("certify", help="general-type certificate for the quadric surface")
-    add_config_arg(p)
+    # no default, so that --m can refuse a configuration it would not read
+    p.add_argument("config", nargs="?", default=None, help="configuration JSON file, or - for stdin (default)")
     p.add_argument("--m", type=_parse_integer, default=None, help="number of base points (family certificate)")
     p.add_argument("--from", dest="from_file", default=None, help="configuration JSON file")
     p.add_argument("--base", default=None, help="base indices into the configuration")

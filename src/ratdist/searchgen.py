@@ -4,12 +4,18 @@ The search grid holds the lattice points (p/q, (r/q') * sqrt(k)) with
 |p|, |r| <= numerator_bound and q, q' <= denominator_bound.  On planeset's
 integer lattice, whose L is the least common multiple of 1..denominator_bound
 as every 1/q is on the grid, two grid points are at rational distance iff
-the integer (dX)^2 + k*(dY)^2 is a perfect square.  Each ``search`` call that
-processes a cell tests every grid pair once and keeps the answers as a bitset
-adjacency; a rational distance set of the target size is then a clique of
-that graph, listed by bitset recursion (Bron & Kerbosch, CACM 1973).
+the integer (dX)^2 + k*(dY)^2 is a perfect square.  That depends only on
+(|dX|, |dY|), so each ``search`` call tests each such difference once, and
+builds the bitset adjacency row of a cell from those answers when the
+recursion first reads it; a rational distance set of the target size is
+then a clique of that graph, listed by bitset recursion (Bron & Kerbosch,
+CACM 1973).
 
-Complete sets are filtered by the requested general-position predicate and
+For strong general position no three points may be collinear, so adding a
+cell clears from the candidates every grid cell on the line through it and
+an earlier chosen cell; each line's bitset is built once per call.  Complete
+sets are filtered by the requested general-position predicate (for strong,
+the four-concyclic check is the part the pruning has not already done) and
 mapped to a canonical representative of their similarity class (first two
 points at (0,0) and (1,0), lexicographically minimal point order, reflection
 resolved by the sign rule of ``normalize``).  The representative is
@@ -47,9 +53,9 @@ from .planeset import (
 MAX_N = 10_000
 
 # Largest number of grid cells a SearchSpec accepts, checked before the grid
-# is built.  The all-pairs adjacency of the k=1 (49,1,3) grid, 9,801 cells,
-# took 68 s with Python 3.11 on one Xeon core; the time grows with the
-# square of the cell count.
+# is built.  Every adjacency row of the k=1 (49,1,3) grid, 9,801 cells, took
+# 7.7 s with Python 3.11 on one Xeon core; the time grows with the square of
+# the cell count.
 MAX_CELLS = 10_000
 
 
@@ -327,43 +333,120 @@ def _satisfies(c: Configuration, require: Requirement) -> bool:
     return report.strong_ok if require is Requirement.STRONG else report.literal_ok
 
 
-def _adjacency(grid: tuple[LatticePoint, ...], k: int) -> list[int]:
-    """Bitset per grid cell of the higher cells at rational distance from it."""
-    _, pts = integer_lattice(grid)
-    adjacency = [0] * len(pts)
-    for i, (xi, yi) in enumerate(pts):
+class _Adjacency(dict):
+    """Row i: bitset of the cells j > i at rational distance from cell i.
+
+    A row is built on first read, so a call that reaches few cells tests few
+    pairs.  Whether two lattice points are at rational distance depends only
+    on (|dX|, |dY|), so ``squares`` tests each difference once per call.
+    """
+
+    def __init__(self, grid: tuple[LatticePoint, ...], k: int) -> None:
+        super().__init__()
+        _, self.lattice = integer_lattice(grid)
+        self.k = k
+        self.squares: dict[tuple[int, int], bool] = {}
+
+    def __missing__(self, i: int) -> int:
+        row = self[i] = _adjacency_row(self.lattice, self.k, self.squares, i)
+        return row
+
+
+def _adjacency_row(
+    lattice: list[tuple[int, int]], k: int, squares: dict[tuple[int, int], bool], i: int
+) -> int:
+    xi, yi = lattice[i]
+    bits = 0
+    for j in range(i + 1, len(lattice)):
+        x, y = lattice[j]
+        key = (abs(x - xi), abs(y - yi))
+        rational = squares.get(key)
+        if rational is None:
+            dx, dy = key
+            rational = squares[key] = rational_sqrt(dx * dx + k * dy * dy) is not None
+        if rational:
+            bits |= 1 << j
+    return bits
+
+
+class _Lines:
+    """Bitsets of the grid lines through two cells, each built once per call.
+
+    The grid is sorted x-major, so for cells c < j the difference (dX, dY)
+    is lexicographically positive; its primitive direction (a, b) and the
+    offset b*X - a*Y identify the line, whichever two of its cells are given.
+    """
+
+    def __init__(self, lattice: list[tuple[int, int]]) -> None:
+        self.lattice = lattice
+        # the lattice values of either axis, in grid order: the cell
+        # (values[u], values[v]) has index u * len(values) + v
+        self.values = sorted({y for _, y in lattice})
+        self.index = {v: u for u, v in enumerate(self.values)}
+        self.bits: dict[tuple[int, int, int], int] = {}
+
+    def through(self, c: int, j: int) -> int:
+        (px, py), (qx, qy) = self.lattice[c], self.lattice[j]
+        g = gcd(qx - px, qy - py)
+        a, b = (qx - px) // g, (qy - py) // g
+        key = (a, b, b * px - a * py)
+        bits = self.bits.get(key)
+        if bits is None:
+            bits = self.bits[key] = self._cells(px, py, a, b)
+        return bits
+
+    def _cells(self, px: int, py: int, a: int, b: int) -> int:
+        # a line meets each column once, unless it is the column (a = 0)
+        side = len(self.values)
+        if a == 0:
+            return ((1 << side) - 1) << (self.index[px] * side)
         bits = 0
-        for j in range(i + 1, len(pts)):
-            dx = pts[j][0] - xi
-            dy = pts[j][1] - yi
-            if rational_sqrt(dx * dx + k * dy * dy) is not None:
-                bits |= 1 << j
-        adjacency[i] = bits
-    return adjacency
+        for u, x in enumerate(self.values):
+            rise, rem = divmod((x - px) * b, a)
+            v = self.index.get(py + rise) if rem == 0 else None
+            if v is not None:
+                bits |= 1 << (u * side + v)
+        return bits
 
 
 def _search_one_cell(
-    spec: SearchSpec, grid: tuple[LatticePoint, ...], adjacency: list[int], cell: int
+    spec: SearchSpec,
+    grid: tuple[LatticePoint, ...],
+    adjacency: _Adjacency,
+    lines: _Lines | None,
+    cell: int,
 ) -> list[Configuration]:
-    """Canonical forms of the target-size cliques whose lowest cell is ``cell``."""
+    """Canonical forms of the target-size cliques whose lowest cell is ``cell``.
+
+    The row of a cell is read only when the clique can still grow past it.
+    With ``lines`` (strong general position), adding cell j clears from the
+    candidates every cell on a line through j and an earlier chosen cell, so
+    no clique with three collinear points is listed; each complete clique
+    still runs the full requirement check, which also rejects four
+    concyclic points.
+    """
     k = spec.k
     target = spec.target_size
     out: list[Configuration] = []
     chosen = [cell]
 
     def extend(cand: int) -> None:
-        if len(chosen) == target:
-            cfg = Configuration(k, tuple(grid[i] for i in chosen))
-            if _satisfies(cfg, spec.require):
-                out.append(canonical_form(cfg))
-            return
         need = target - len(chosen)
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
             j = low.bit_length() - 1
             chosen.append(j)
-            extend(cand & adjacency[j])
+            if need == 1:
+                cfg = Configuration(k, tuple(grid[i] for i in chosen))
+                if _satisfies(cfg, spec.require):
+                    out.append(canonical_form(cfg))
+            else:
+                nxt = cand & adjacency[j]
+                if lines is not None:
+                    for c in chosen[:-1]:
+                        nxt &= ~lines.through(c, j)
+                extend(nxt)
             chosen.pop()
 
     extend(adjacency[cell])
@@ -398,9 +481,13 @@ def search(
 
     Deterministic for a given spec regardless of where the run is split;
     ``max_cells`` (nonnegative) bounds how many first-point cells this call
-    processes so long runs can checkpoint and resume; a call that processes
-    no cell tests no grid pair.  ``workers`` must be at least 1 and has no
-    other effect: the search runs in this process.
+    processes so long runs can checkpoint and resume.  Adjacency rows are
+    built only for the cells the call's recursion reaches, so a call that
+    processes no cell tests no grid pair.  A strong general position spec
+    prunes collinear branches inside the recursion; classes, checkpoints and
+    progress events are those of listing every clique and filtering at the
+    end.  ``workers`` must be at least 1 and has no other effect: the search
+    runs in this process.
     ``progress`` is an optional callable receiving one dict per processed
     cell, in cell order.
     """
@@ -430,9 +517,10 @@ def search(
         for cfg in checkpoint.found:
             absorb(cfg)
 
-    adjacency = _adjacency(grid, spec.k) if todo else []
+    adjacency = _Adjacency(grid, spec.k)
+    lines = _Lines(adjacency.lattice) if spec.require is Requirement.STRONG else None
     for cell in todo:
-        for cfg in _search_one_cell(spec, grid, adjacency, cell):
+        for cfg in _search_one_cell(spec, grid, adjacency, lines, cell):
             absorb(cfg)
         if progress is not None:
             progress({"event": "cell", "cell": cell, "classes": len(found)})

@@ -1,6 +1,7 @@
 """Tests for the CLI: subcommands, exit codes, pipes, and byte stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -155,6 +156,25 @@ def test_search_refuses_a_grid_above_the_cell_cap(bounds, mode):
     assert "MAX_CELLS=10000" in result["diagnostics"][0]["message"]
 
 
+@pytest.mark.parametrize(
+    "target, classes, digest",
+    # stdout digests recorded when collinear cliques were rejected only at
+    # the leaf, which took about 13 s and 60 s on these two specs
+    [
+        (4, 9, "b6dba318fd7d4353045b78fd481319f8ee07fdaa7562ff8811b3aea8eb66a435"),
+        (5, 0, "f6ef061528ce91cf651a7d811a16b9a7e4b5c91dfcb5ffff84b5d4b95ac302f2"),
+    ],
+)
+def test_search_strong_12_box_is_unchanged_and_fast(target, classes, digest):
+    spec = {"k": 1, "numerator_bound": 12, "denominator_bound": 1, "target_size": target,
+            "require": "strong_general_position"}
+    start = time.perf_counter()
+    code, result, proc = invoke(["search", "--spec", "-"], stdin_text=json.dumps(spec))
+    assert time.perf_counter() - start < 10
+    assert code == 0 and len(result["payload"]["found"]) == classes
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_certify_refuses_m_with_base():
     # --m certifies the family and would ignore the configuration's base
     rect = config_json(1, [(0, 0), (3, 0), (0, 4), (3, 4)])
@@ -163,6 +183,31 @@ def test_certify_refuses_m_with_base():
         assert code == 2
         assert result["status"] == "error" and result["payload"] == {}
         assert "not both" in result["diagnostics"][0]["message"]
+
+
+@pytest.mark.parametrize(
+    "config_args",
+    [["/nonexistent.json"], ["--from", "/nonexistent.json"], ["-"], ["{rect}"], ["--from", "{rect}"]],
+)
+def test_certify_refuses_m_with_a_configuration(tmp_path, config_args):
+    # --m certifies the family and reads no configuration, so naming one is a
+    # usage error, whether the file exists or not
+    rect = tmp_path / "rect.json"
+    rect.write_text(config_json(1, [(0, 0), (3, 0), (0, 4), (3, 4)]))
+    argv = ["certify", "--m", "5", *(a.format(rect=rect) for a in config_args)]
+    result, code = run(argv)
+    assert code == 2
+    assert result["status"] == "error" and result["payload"] == {}
+    assert "reads no configuration" in result["diagnostics"][0]["message"]
+
+
+def test_certify_m_alone_is_unchanged():
+    # stdout digest of `certify --m 5`, recorded before a configuration given
+    # with --m became a usage error; the family certificate reads no stdin
+    code, _, proc = invoke(["certify", "--m", "5"], stdin_text="not json")
+    assert code == 0
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "5a42e6760696fcb0944dbcfd4f3f748a2092326b246748ff276a094d7088cd20"
 
 
 def test_normalize_large_k_rds(tmp_path):

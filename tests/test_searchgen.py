@@ -1,7 +1,9 @@
 """Tests for fixture generators and the bounded-height search."""
 
+import hashlib
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -597,10 +599,10 @@ def test_search_rejects_negative_max_cells():
 def test_search_that_processes_no_cell_tests_no_pair(monkeypatch):
     full, part = search(TINY), search(TINY, max_cells=7)
 
-    def refuse(grid, k):
-        raise AssertionError("the adjacency was built")
+    def refuse(lattice, k, squares, i):
+        raise AssertionError(f"adjacency row {i} was built")
 
-    monkeypatch.setattr(searchgen, "_adjacency", refuse)
+    monkeypatch.setattr(searchgen, "_adjacency_row", refuse)
     events = []
     empty = search(TINY, max_cells=0, progress=events.append)
     assert empty.to_dict() == {"spec": TINY.to_dict(), "found": [], "exhausted_ranges": []}
@@ -614,3 +616,192 @@ def test_search_found_all_satisfy_requirement_invariant():
     for c in result.found:
         assert verify_rds(c).is_rds
         assert audit_general_position(c).literal_ok
+
+
+# ---------------------------------------------------------------------------
+# adjacency rows and the difference table
+
+
+def _spy_rows(monkeypatch) -> list:
+    """Record (cell, difference table) for every adjacency row built."""
+    real = searchgen._adjacency_row
+    built = []
+
+    def spy(lattice, k, squares, i):
+        built.append((i, squares))
+        return real(lattice, k, squares, i)
+
+    monkeypatch.setattr(searchgen, "_adjacency_row", spy)
+    return built
+
+
+def _neighbours(spec: SearchSpec, cell: int) -> list[int]:
+    """Oracle: the higher cells at rational distance from ``cell``."""
+    grid = grid_points(spec)
+    out = []
+    for j in range(cell + 1, len(grid)):
+        d = squared_distance(grid[cell], grid[j], spec.k)
+        if all(math.isqrt(n) ** 2 == n for n in (d.numerator, d.denominator)):
+            out.append(j)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, first",
+    [
+        (SearchSpec(1, 30, 1, 3), 0),
+        (SearchSpec(1, 30, 1, 3, Requirement.STRONG), 0),
+        (SearchSpec(2, 4, 1, 3), 0),
+        (SearchSpec(1, 4, 1, 3), 40),
+        (SearchSpec(1, 3, 2, 3), 17),
+    ],
+)
+def test_max_cells_builds_rows_only_for_the_cells_the_call_reaches(monkeypatch, spec, first):
+    # a target-3 clique grows past its second cell only while another
+    # neighbour of the first cell is left: the last neighbour's row is unread
+    built = _spy_rows(monkeypatch)
+    checkpoint = SearchCheckpoint(spec, (), ((0, first),) if first else ())
+    start = time.perf_counter()
+    search(checkpoint=checkpoint, max_cells=1)
+    assert time.perf_counter() - start < 3  # every (30,1,3) row: about 9 s
+    assert [i for i, _ in built] == [first] + _neighbours(spec, first)[:-1]
+    built.clear()
+    search(checkpoint=checkpoint, max_cells=0)
+    assert built == []
+
+
+def test_difference_table_tests_each_absolute_difference_once(monkeypatch):
+    built = _spy_rows(monkeypatch)
+    real = searchgen.rational_sqrt
+    tested = []
+    monkeypatch.setattr(searchgen, "rational_sqrt", lambda n: tested.append(n) or real(n))
+    search(TINY)
+    assert sorted(i for i, _ in built) == list(range(25))
+    squares = built[0][1]
+    assert all(table is squares for _, table in built)  # one table per call
+    _, lattice = integer_lattice(grid_points(TINY))
+    differences = {
+        (abs(x - u), abs(y - v)) for i, (x, y) in enumerate(lattice) for u, v in lattice[i + 1 :]
+    }
+    assert len(differences) == 24  # 0..4 on each axis, less (0, 0)
+    assert set(squares) == differences
+    assert len(tested) == len(differences)
+    assert squares == {(dx, dy): math.isqrt(dx * dx + dy * dy) ** 2 == dx * dx + dy * dy for dx, dy in differences}
+
+
+# ---------------------------------------------------------------------------
+# strong general position inside the clique search
+
+
+def _brute_line(lattice, c, j) -> int:
+    (px, py), (qx, qy) = lattice[c], lattice[j]
+    return sum(
+        1 << i for i, (x, y) in enumerate(lattice) if (x - px) * (qy - py) == (y - py) * (qx - px)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(1, 2, 1, 3),  # the 5 x 5 box
+        SearchSpec(1, 2, 2, 3),  # D = 2: 9 values, lattice -4..4
+        SearchSpec(1, 1, 3, 3),  # D = 3: lattice -6, -3, -2, 0, 2, 3, 6
+        SearchSpec(7, 3, 1, 3),
+    ],
+)
+def test_line_bitsets_match_a_brute_force_collinearity_scan(spec):
+    _, lattice = integer_lattice(grid_points(spec))
+    lines = searchgen._Lines(lattice)
+    for c, j in itertools.combinations(range(len(lattice)), 2):
+        assert lines.through(c, j) == _brute_line(lattice, c, j), (c, j)
+    # one bitset per line, however many of its pairs asked for it
+    assert len(lines.bits) == len({_brute_line(lattice, c, j) for c, j in itertools.combinations(range(len(lattice)), 2)})
+
+
+def test_line_bitsets_cover_the_box_edges():
+    # cell u*5 + v of the 5 x 5 box is (u - 2, v - 2)
+    _, lattice = integer_lattice(grid_points(SearchSpec(1, 2, 1, 3)))
+    lines = searchgen._Lines(lattice)
+
+    def cells(c, j):
+        bits = lines.through(c, j)
+        return [i for i in range(25) if bits >> i & 1]
+
+    assert cells(0, 24) == [0, 6, 12, 18, 24]  # corner to corner
+    assert cells(4, 20) == [4, 8, 12, 16, 20]  # the other diagonal
+    assert cells(0, 1) == [0, 1, 2, 3, 4]  # vertical, along the left edge
+    assert cells(20, 24) == [20, 21, 22, 23, 24]  # vertical, along the right edge
+    assert cells(0, 5) == [0, 5, 10, 15, 20]  # horizontal, along the bottom edge
+    assert cells(9, 24) == [4, 9, 14, 19, 24]  # horizontal, along the top edge
+    assert cells(0, 7) == [0, 7, 14]  # steep: direction (1, 2)
+    assert cells(0, 11) == [0, 11, 22]  # shallow: direction (2, 1)
+    assert cells(4, 13) == [4, 13, 22]  # descending: direction (2, -1)
+    assert cells(0, 9) == [0, 9]  # direction (1, 4) meets the box twice
+    assert cells(1, 9) == [1, 9]  # direction (1, 3), from the left edge to the top edge
+    assert cells(3, 16) == [3, 16]  # direction (3, -2)
+
+
+STRONG_DIFFERENTIAL = [
+    SearchSpec(k, n, d, t, Requirement.STRONG)
+    for k in (1, 2, 7)
+    for n, d in ((2, 1), (1, 2))
+    for t in (3, 4, 5)
+] + [
+    SearchSpec(k, n, d, 3, Requirement.STRONG) for k in (1, 2, 7) for n, d in ((3, 1), (2, 2))
+]
+
+
+@pytest.mark.parametrize("spec", STRONG_DIFFERENTIAL, ids=lambda s: "{k},{numerator_bound},{denominator_bound},{target_size}".format(**s.to_dict()))
+def test_strong_search_matches_the_unpruned_oracle(spec):
+    assert search(spec).found == oracle_found(spec)
+
+
+def test_strong_search_keeps_the_leaf_check_for_concyclic_points():
+    # the 3 x 4 rectangle has no three points collinear but is concyclic
+    spec = SearchSpec(1, 2, 1, 4)
+    rectangle = canonical_form(
+        Configuration(1, tuple(LatticePoint(F(x), F(y)) for x, y in ((0, 0), (3, 0), (0, 4), (3, 4))))
+    )
+    assert rectangle in search(spec).found
+    assert rectangle not in search(SearchSpec(1, 2, 1, 4, Requirement.STRONG)).found
+
+
+def _cut_transcript(spec: SearchSpec) -> str:
+    """Digest of every cut's checkpoint, its resumed result and their progress events."""
+    h = hashlib.sha256()
+    for cut in range(len(grid_points(spec)) + 1):
+        events = []
+        part = search(spec, max_cells=cut, progress=events.append)
+        blob = json.dumps(part.to_dict(), sort_keys=True)
+        done = search(checkpoint=SearchCheckpoint.from_dict(json.loads(blob)), progress=events.append)
+        for text in (blob, json.dumps(done.to_dict(), sort_keys=True), *map(json.dumps, events)):
+            h.update(text.encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    # recorded from the search that rejected collinear cliques only at the leaf
+    [
+        (SearchSpec(1, 4, 1, 3, Requirement.STRONG), "893f8b0b63211284484fed31eac199e0b34f960d0bfeff59d9b767f9a158b61b"),
+        (SearchSpec(1, 2, 2, 3, Requirement.STRONG), "2cff07f5a4de5a7553d96eaa952569879d37487e69e27610a7441a4fe23e4640"),
+        (SearchSpec(2, 3, 1, 3, Requirement.STRONG), "005ac6a4e8b0aa04ff4b6b83d86bec58ca960923c7f8b492b64b8a1752ced889"),
+    ],
+)
+def test_strong_search_cuts_and_resumes_are_unchanged(spec, digest):
+    assert _cut_transcript(spec) == digest
+
+
+@pytest.mark.parametrize("numerator_bound", [4, 6])
+def test_strong_search_audits_no_clique_with_three_collinear_points(monkeypatch, numerator_bound):
+    real = searchgen._satisfies
+    leaves = []
+
+    def spy(c, require):
+        leaves.append(c)
+        return real(c, require)
+
+    monkeypatch.setattr(searchgen, "_satisfies", spy)
+    search(SearchSpec(1, numerator_bound, 1, 4, Requirement.STRONG))
+    assert leaves
+    assert max(audit_general_position(c).max_collinear for c in leaves) == 2

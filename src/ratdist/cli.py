@@ -273,7 +273,7 @@ def _cmd_generate(args) -> dict:
             offsets = range(args.n)
         c = generate_line_rds(args.n, offsets)
     else:
-        c = generate_circle_rds(args.n, parameter_bound=args.parameter_bound)
+        c = generate_circle_rds(args.n)
     return _result("ok", c.to_dict())
 
 
@@ -337,7 +337,6 @@ def build_parser() -> _Parser:
     p.add_argument("family", choices=["line", "circle"])
     p.add_argument("--n", type=_parse_integer, required=True)
     p.add_argument("--offsets", default=None, help="comma-separated rationals (line family)")
-    p.add_argument("--parameter-bound", type=_parse_integer, default=200, help="triple parameter bound (circle family)")
     p.set_defaults(func=_cmd_generate)
 
     return parser

@@ -228,12 +228,6 @@ class IsotropicLine:
         w = omega(self.k)
         return -w if self.conjugate else w
 
-    def parameter_of(self, x0: ImQuadElement, y0: ImQuadElement) -> ImQuadElement | None:
-        """Parameter t with (a - s*omega*t, b + t) = (x0, y0), if on the line."""
-        t = y0 - ImQuadElement.from_rational(self.base.yc, self.k)
-        expected_x = ImQuadElement.from_rational(self.base.x, self.k) - self.direction() * t
-        return t if expected_x == x0 else None
-
     def conjugated(self) -> "IsotropicLine":
         return IsotropicLine(self.base, self.k, not self.conjugate)
 
@@ -304,8 +298,9 @@ class TransversalityReport:
 
     ``multiplicities`` lists (multiplicity, number of roots) from the
     squarefree decomposition; ``simple_roots`` counts multiplicity-one
-    roots minus any that hit a caller-supplied excluded point (a point
-    shared with another selected line does not count as transverse).
+    roots, and in the six-line count leaves out those at a crossing with
+    another line of the union (a point shared with another selected line
+    does not count as transverse).
     ``degree_drop`` is the intersection multiplicity absorbed at the
     circular point Q, an upper bound for the curve's multiplicity mu at Q;
     mu_lower_bound is 1 exactly when Q lies on the curve.
@@ -317,16 +312,11 @@ class TransversalityReport:
     mu_lower_bound: int
 
 
-def transversality_report(
-    curve: PlaneCurve,
-    line: IsotropicLine,
-    exclusions: tuple = (),
-) -> TransversalityReport:
+def transversality_report(curve: PlaneCurve, line: IsotropicLine) -> TransversalityReport:
     p = substitute_line(curve, line)
     if p.is_zero():
         raise LineIsComponentError("line is a component of the curve")
-    excluded = {t for x0, y0 in exclusions if (t := line.parameter_of(x0, y0)) is not None}
-    return _report(curve.degree, p, _root_multiplicities(p), excluded)
+    return _report(curve.degree, p, _root_multiplicities(p), set())
 
 
 def _root_multiplicities(p: ImQuadPoly) -> tuple[tuple[int, int], ...]:
@@ -391,6 +381,17 @@ def _require_distinct(triple: tuple[LatticePoint, LatticePoint, LatticePoint]) -
         raise CurveliftError("cover needs three distinct base points")
 
 
+def _restriction(
+    curve: PlaneCurve, p: LatticePoint, k: int, known: dict
+) -> tuple[ImQuadPoly, tuple | None]:
+    """The curve's restriction to the line of p and its root multiplicities
+    (None when the line lies in the curve), memoized per point in ``known``."""
+    if p not in known:
+        r = substitute_line(curve, IsotropicLine(p, k))
+        known[p] = (r, None if r.is_zero() else _root_multiplicities(r))
+    return known[p]
+
+
 def _analyze_triple(
     curve: PlaneCurve, triple: tuple[LatticePoint, LatticePoint, LatticePoint], k: int, known: dict
 ) -> list[tuple[ImQuadPoly, tuple | None, set[ImQuadElement]]]:
@@ -407,11 +408,7 @@ def _analyze_triple(
     multiplicities; those computed here are added to it.
     """
     lines = [IsotropicLine(p, k) for p in triple]
-    for line in lines:
-        if line.base not in known:
-            p = substitute_line(curve, line)
-            known[line.base] = (p, None if p.is_zero() else _root_multiplicities(p))
-    out = [(*known[p], set()) for p in triple]
+    out = [(*_restriction(curve, p, k, known), set()) for p in triple]
     for u, v in itertools.combinations_with_replacement(range(3), 2):
         t = _crossing_parameter(lines[u], lines[v].conjugated())
         if _is_root(out[u][0], t):
@@ -471,18 +468,11 @@ def choose_transverse_triple(
         )
     transcript: list[dict] = []
     restricted: dict[LatticePoint, tuple[ImQuadPoly, tuple | None]] = {}
-
-    def restriction(p: LatticePoint) -> tuple[ImQuadPoly, tuple | None]:
-        if p not in restricted:
-            r = substitute_line(curve, IsotropicLine(p, k))
-            restricted[p] = (r, None if r.is_zero() else _root_multiplicities(r))
-        return restricted[p]
-
     good = pool
     if on:
         simple = []
         for p in pool:
-            _, mults = restriction(p)
+            _, mults = _restriction(curve, p, k, restricted)
             if mults is None:
                 transcript.append({"step": "reject", "point": p.to_dict(), "reason": "line in curve"})
             elif any(mult > 1 for mult, _ in mults):
@@ -502,7 +492,8 @@ def choose_transverse_triple(
         # the line of a crosses the conjugate line of b off the curve, and
         # so, by conjugation, the line of b crosses that of a off it
         return not _is_root(
-            restriction(a)[0], _crossing_parameter(IsotropicLine(a, k), IsotropicLine(b, k, True))
+            _restriction(curve, a, k, restricted)[0],
+            _crossing_parameter(IsotropicLine(a, k), IsotropicLine(b, k, True)),
         )
 
     chosen: list[LatticePoint] = []

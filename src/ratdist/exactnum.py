@@ -141,9 +141,10 @@ def _squarefree_split_int(n: int) -> tuple[int, int]:
     if root * root == n:
         # Residue is a perfect square; its squarefreeness is irrelevant.
         return s, r * root
-    if d * d > n or n <= DEFAULT_PRIME_BOUND * DEFAULT_PRIME_BOUND:
-        # All remaining prime factors exceed the bound, so a residue at
-        # most its square (and not a square) must itself be prime.
+    if n < d * d * d:
+        # Every prime factor of the residue is at least d, so a residue
+        # below d^3 has at most two, distinct because it is not a square:
+        # it is a prime or a product of two primes, and squarefree.
         return s * n, r
     raise UnfactoredResidueError(
         f"unfactored residue {n} exceeds prime bound {DEFAULT_PRIME_BOUND}"
@@ -153,8 +154,9 @@ def _squarefree_split_int(n: int) -> tuple[int, int]:
 def squarefree_part(q: Fraction | int) -> tuple[int, Fraction]:
     """Write q > 0 as s * r^2 with s a positive squarefree integer, r in Q.
 
-    s = 1 exactly when q is a rational square.  Inputs whose factorization
-    is not resolved by trial division up to ``DEFAULT_PRIME_BOUND`` raise
+    s = 1 exactly when q is a rational square.  Trial division runs up to
+    ``DEFAULT_PRIME_BOUND``; a residue left above it that is neither a
+    square nor below (DEFAULT_PRIME_BOUND + 1)^3 raises
     UnfactoredResidueError instead of being silently mis-normalized.
     """
     q = Fraction(q)
@@ -255,13 +257,6 @@ class ImQuadElement:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def to_dict(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im), "k": self.k}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImQuadElement":
-        return cls(parse_rational(d["re"]), parse_rational(d["im"]), parse_int(d["k"]))
 
 
 def omega(k: int) -> ImQuadElement:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactnum import (
+    UnfactoredResidueError,
     format_rational,
     is_squarefree,
     parse_int,
@@ -76,7 +77,11 @@ class Configuration:
         object.__setattr__(self, "points", tuple(self.points))
         if self.k < 1:
             raise PlanesetError(f"k must be a positive integer, got {self.k}")
-        if not is_squarefree(self.k):
+        try:
+            squarefree = is_squarefree(self.k)
+        except UnfactoredResidueError as err:
+            raise PlanesetError(f"could not decide whether k={self.k} is squarefree: {err}") from err
+        if not squarefree:
             raise PlanesetError(f"k must be squarefree, got {self.k}")
         # keyed on the integers: hashing a Fraction takes a modular inverse
         keys = {(p.x.numerator, p.x.denominator, p.yc.numerator, p.yc.denominator)

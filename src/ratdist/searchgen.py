@@ -32,12 +32,13 @@ cell by cell in cell order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .exactnum import is_squarefree, parse_int, rational_sqrt
+from .exactnum import UnfactoredResidueError, is_squarefree, parse_int, rational_sqrt
 from .planeset import (
     Configuration,
     LatticePoint,
@@ -83,7 +84,11 @@ class SearchSpec:
             raise SearchgenError("bounds must be positive")
         if self.target_size < 3:
             raise SearchgenError("target size must be at least 3")
-        if self.k < 1 or not is_squarefree(self.k):
+        try:
+            squarefree = self.k >= 1 and is_squarefree(self.k)
+        except UnfactoredResidueError as err:
+            raise SearchgenError(f"could not decide whether k={self.k} is squarefree: {err}") from err
+        if not squarefree:
             raise SearchgenError(f"k must be a positive squarefree integer, got {self.k}")
         # each axis has the 2N+1 integers up to N and the 2D+1 fractions 0 and
         # +-1/q, so the count is bounded below before any value is enumerated
@@ -188,41 +193,34 @@ def generate_line_rds(n: int, offsets: "list[Fraction | int]") -> Configuration:
     )
 
 
-def _primitive_triples(limit: int):
+def _primitive_triples():
     # Euclid parametrization: odd leg m^2 - n^2, even leg 2mn, hypotenuse
     # m^2 + n^2, primitive iff gcd(m, n) = 1 with m - n odd.
-    for m in range(2, limit + 1):
+    for m in itertools.count(2):
         for n in range(1, m):
             if (m - n) % 2 == 1 and gcd(m, n) == 1:
                 yield m * m - n * n, 2 * m * n, m * m + n * n
 
 
-def generate_circle_rds(n: int, parameter_bound: int = 200) -> Configuration:
+def generate_circle_rds(n: int) -> Configuration:
     """Concyclic fixture: n points on the unit circle with rational chords.
 
     Uses angles 2*theta with (cos theta, sin theta) = (odd leg, even leg)
-    over the hypotenuse of distinct primitive right triangles, plus the
-    anchor (1, 0); every chord is 2*|sin(theta_i - theta_j)|, a rational.
-    The scan stops after n points or after every parameter pair up to
-    parameter_bound, whichever comes first.
+    over the hypotenuse of the first n - 1 primitive right triangles in
+    (m, n) order, plus the anchor (1, 0); every chord is
+    2*|sin(theta_i - theta_j)|, a rational.  MAX_N bounds the scan:
+    n = MAX_N needs m up to 222.
     """
     if n < 1:
         raise SearchgenError("need at least one point")
     if n > MAX_N:
         raise SearchgenError(f"n={n} exceeds the supported maximum MAX_N={MAX_N}")
-    points: list[LatticePoint] = [LatticePoint(Fraction(1), Fraction(0))]
-    for a, b, c in _primitive_triples(parameter_bound):
-        if len(points) == n:
-            break
+    points = [LatticePoint(Fraction(1), Fraction(0))]
+    for a, b, c in itertools.islice(_primitive_triples(), n - 1):
         cos_t = Fraction(a, c)
         sin_t = Fraction(b, c)
         points.append(LatticePoint(1 - 2 * sin_t * sin_t, 2 * sin_t * cos_t))
-    if len(points) < n:
-        raise SearchgenError(
-            f"not enough primitive triples with parameter <= {parameter_bound} "
-            f"for {n} points; raise parameter_bound"
-        )
-    return Configuration(1, tuple(points[:n]), provenance="circle-rds")
+    return Configuration(1, tuple(points), provenance="circle-rds")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from the closed-form classification: m * 2^(m-1) finite ordinary double
 points (multiplicity 2, discrepancy 0) plus two ordinary multiple points at
 infinity with multiplicity 2^(m-2) and discrepancy 3 - m, while
 K^2 = (m-3)^2 * 2^m.  A Jacobian spot check is provided to verify the
-classification against exact rank computations at small m.  A row with
+classification against exact rank computations at small m; its integer
+row test also decides whether a point lies on V.  A row with
 r_j != 0 is the only one with an entry in its column 3 + j, so only the
 3-column (x, y, z) block of the rows with r_j = 0 is row-reduced, in
 integers: the point and the rows are scaled into Z[omega], and the rank
@@ -33,7 +34,6 @@ from .exactnum import (
     _int_pairs,
     format_rational,
     parse_int,
-    parse_rational,
 )
 from .planeset import Configuration, LatticePoint, integer_lattice
 
@@ -98,10 +98,6 @@ class LiftedPoint:
     def to_list(self) -> list[str]:
         return [format_rational(c) for c in self.coords]
 
-    @classmethod
-    def from_list(cls, items: list[str]) -> "LiftedPoint":
-        return cls(tuple(parse_rational(t) for t in items))
-
 
 def build_surface(c: Configuration, base_indices: "list[int]") -> QuadricSystem:
     """Quadric system over the configuration's field with the chosen base."""
@@ -140,19 +136,9 @@ def lift_point(p: LatticePoint, sys: QuadricSystem) -> LiftedPoint:
 
 
 def verify_on_surface(pt: LiftedPoint, sys: QuadricSystem) -> bool:
-    """Exact substitution of the point into all m quadric relations."""
-    if len(pt.coords) != 3 + sys.m:
-        raise SurfaceliftError(
-            f"expected {3 + sys.m} homogeneous coordinates, got {len(pt.coords)}"
-        )
-    x, y, z = pt.coords[:3]
-    for j, base in enumerate(sys.base):
-        r = pt.coords[3 + j]
-        dx = x - base.x * z
-        dy = y - base.yc * z
-        if r * r != dx * dx + sys.k * dy * dy:
-            return False
-    return True
+    """Exact substitution of the point into all m quadric relations: the
+    integer row test of ``jacobian_spot_check``."""
+    return jacobian_spot_check(sys, pt.coords)["on_surface"]
 
 
 def project_point(pt: LiftedPoint) -> LatticePoint:
@@ -235,6 +221,15 @@ class SingularityCensus(Sequence):
         return [finite] + [r.to_dict() for r in self._infinity]
 
 
+def _base_count(sys: "QuadricSystem | int") -> int:
+    # m of a system, or m itself; an int exactly, as on the wire, so that
+    # neither 5.5 nor True stands for an m
+    m = sys.m if isinstance(sys, QuadricSystem) else sys
+    if type(m) is not int:
+        raise SurfaceliftError(f"m must be an int, got {m!r}")
+    return m
+
+
 def singularity_census(sys: "QuadricSystem | int") -> SingularityCensus:
     """All singular points of V with their multiplicities and discrepancies.
 
@@ -242,8 +237,7 @@ def singularity_census(sys: "QuadricSystem | int") -> SingularityCensus:
     per sheet of signs of the other coordinates); the two records at
     infinity lie over the circular points and are non-canonical once m >= 4.
     """
-    m = sys.m if isinstance(sys, QuadricSystem) else int(sys)
-    return SingularityCensus(m)
+    return SingularityCensus(_base_count(sys))
 
 
 class SurfaceInvariants(NamedTuple):
@@ -255,7 +249,7 @@ class SurfaceInvariants(NamedTuple):
 
 def surface_invariants(sys: "QuadricSystem | int") -> SurfaceInvariants:
     """deg V = 2^m, omega_V = O(m-3) (ample iff m >= 4), K^2 = (m-3)^2 2^m."""
-    m = sys.m if isinstance(sys, QuadricSystem) else int(sys)
+    m = _base_count(sys)
     return SurfaceInvariants(
         deg_v=2**m,
         canonical_twist=m - 3,
@@ -349,11 +343,12 @@ def certify_V(
     already enforced distinct base points).
     """
     if sys is not None:
-        if m is not None and m != sys.m:
+        if m is not None and _base_count(m) != sys.m:
             raise SurfaceliftError(f"m={m} conflicts with the system's m={sys.m}")
         m = sys.m
     if m is None:
         raise SurfaceliftError("either m or a quadric system is required")
+    m = _base_count(m)
     if m < 1:
         raise SurfaceliftError(f"at least one base point is required, got m={m}")
     if m > MAX_M:  # checked before anything computes 2**m

@@ -130,13 +130,42 @@ def _limited_cli(argv, stdin_text=None):
 
 
 @pytest.mark.parametrize("n", [10**6, 10**9, 10**18])
-@pytest.mark.parametrize("family", [["line"], ["circle", "--parameter-bound", "1000000"]])
+@pytest.mark.parametrize("family", [["line"], ["circle"]])
 def test_generate_refuses_n_above_the_maximum(family, n):
     # refused before anything is allocated: exit 2 and one CommandResult
     code, result = _limited_cli(["generate", *family, "--n", str(n)])
     assert code == 2
     assert result["status"] == "error" and result["payload"] == {}
     assert "MAX_N=10000" in result["diagnostics"][0]["message"]
+
+
+def test_generate_circle_has_no_parameter_bound():
+    # the scan takes the first n - 1 triples, so n alone decides the output
+    result, code = run(["generate", "circle", "--n", "4", "--parameter-bound", "5"])
+    assert code == 2 and result["payload"] == {}
+    assert result["diagnostics"] == [
+        {"level": "error", "message": "unrecognized arguments: --parameter-bound 5"}
+    ]
+
+
+@pytest.mark.parametrize("n", [8157, 8158, 10000])
+def test_generate_circle_reaches_the_maximum(n):
+    # the default bound of 200 on the triple parameter refused n above 8157
+    result, code = run(["generate", "circle", "--n", str(n)])
+    assert code == 0 and len(result["payload"]["points"]) == n
+
+
+def test_verify_accepts_k_with_two_prime_factors_above_the_trial_bound():
+    # 10002200057 = 100003 * 100019, squarefree; a third such factor leaves
+    # the residue undecided, and the error names k
+    two = config_json(100003 * 100019, [(0, 0), (1, 0)])
+    code, result, _ = invoke(["verify"], stdin_text=two)
+    assert code == 0 and result["payload"]["is_rds"] is True
+    k = 100003 * 100019 * 100043
+    three = json.dumps({"k": k, "points": [{"x": "0", "yc": "0"}, {"x": "1", "yc": "0"}]})
+    code, result, _ = invoke(["verify"], stdin_text=three)
+    assert code == 2
+    assert f"could not decide whether k={k} is squarefree" in result["diagnostics"][0]["message"]
 
 
 @pytest.mark.parametrize(

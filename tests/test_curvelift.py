@@ -36,6 +36,7 @@ from ratdist.curvelift import (
     _crossing_parameter,
     _poly_eval,
     _poly_norm,
+    _report,
     _root_multiplicities,
     substitute_line,
     threshold,
@@ -219,8 +220,9 @@ def test_reflected_conjugate_line_shares_the_intersection():
     assert X_AXIS.evaluate(x0, y0, ImQuadElement.from_rational(1, 1)).is_zero()
 
     # the shared point kills the transverse count on both lines
-    report = transversality_report(X_AXIS, l_a, exclusions=((x0, y0),))
-    assert report.simple_roots == 0
+    assert _crossing_parameter(l_a, lbar_b) == oracle_parameter_of(l_a, x0, y0)
+    _count, reports = count_transverse_union(X_AXIS, (pt(0, 1), pt(0, -1), pt(0, 2)), 1)
+    assert [r.simple_roots for r in reports] == [0, 0, 0, 0, 1, 1]
 
     # all four lines of the bad pair collapse onto two distinct points
     points = set()
@@ -655,6 +657,23 @@ def line_intersection(
     return x, y
 
 
+def oracle_parameter_of(line: IsotropicLine, x0: ImQuadElement, y0: ImQuadElement) -> ImQuadElement | None:
+    """Parameter t with (a - s*omega*t, b + t) = (x0, y0), if on the line."""
+    t = y0 - ImQuadElement.from_rational(line.base.yc, line.k)
+    expected_x = ImQuadElement.from_rational(line.base.x, line.k) - line.direction() * t
+    return t if expected_x == x0 else None
+
+
+def oracle_report(curve: PlaneCurve, line: IsotropicLine, exclusions: tuple):
+    """The line's own transversality report, less the simple roots at the
+    excluded points (x0, y0)."""
+    p = substitute_line(curve, line)
+    if p.is_zero():
+        raise LineIsComponentError("line is a component of the curve")
+    excluded = {t for x0, y0 in exclusions if (t := oracle_parameter_of(line, x0, y0)) is not None}
+    return _report(curve.degree, p, _root_multiplicities(p), excluded)
+
+
 def oracle_shared_curve_points(curve: PlaneCurve, lines) -> list[list]:
     """Mixed-family crossings of the lines, each tested by evaluating the curve."""
     one = ImQuadElement.from_rational(1, lines[0].k)
@@ -672,7 +691,7 @@ def oracle_shared_curve_points(curve: PlaneCurve, lines) -> list[list]:
 def oracle_shared_parameters(curve: PlaneCurve, lines) -> list[set]:
     """Per line, the parameters of its oracle-found shared points."""
     return [
-        {line.parameter_of(*point) for point in points}
+        {oracle_parameter_of(line, *point) for point in points}
         for line, points in zip(lines, oracle_shared_curve_points(curve, lines))
     ]
 
@@ -682,7 +701,7 @@ def oracle_transverse_union(curve: PlaneCurve, triple, k: int):
     lines = six_lines(triple, k)
     shared = oracle_shared_curve_points(curve, lines)
     reports = tuple(
-        transversality_report(curve, line, exclusions=tuple(shared[i]))
+        oracle_report(curve, line, tuple(shared[i]))
         for i, line in enumerate(lines)
     )
     return sum(r.simple_roots for r in reports), reports
@@ -846,7 +865,7 @@ def test_six_lines_match_oracles(case):
 def test_crossing_parameter_matches_line_intersection(p, q, k, conjugate):
     line, other = IsotropicLine(p, k, conjugate), IsotropicLine(q, k, not conjugate)
     for l, o in ((line, other), (other, line)):
-        assert _crossing_parameter(l, o) == l.parameter_of(*line_intersection(l, o))
+        assert _crossing_parameter(l, o) == oracle_parameter_of(l, *line_intersection(l, o))
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,11 @@ def test_squarefree_part_large_prime_residues():
     p = 100_003  # prime above DEFAULT_PRIME_BOUND
     # square residue beyond the bound is still resolvable
     assert squarefree_part(Fraction(p * p)) == (1, Fraction(p))
-    # a single prime residue <= bound^2 must be prime, hence squarefree
+    # a residue with no prime factor up to the bound is a prime, or a
+    # product of two distinct primes when below (bound + 1)^3 and no square
     assert squarefree_part(Fraction(p)) == (p, Fraction(1))
-    # product of three distinct large primes exceeds bound^2: rejected
+    assert squarefree_part(Fraction(p * 100_019)) == (p * 100_019, Fraction(1))
+    # product of three distinct large primes exceeds (bound + 1)^3: rejected
     with pytest.raises(UnfactoredResidueError):
         squarefree_part(Fraction(100_003 * 100_019 * 100_043))
 
@@ -253,11 +255,6 @@ def test_parse_int_accepts_json_ints():
 def test_parse_int_rejects_everything_else(bad):
     with pytest.raises(ExactnumError, match="JSON int"):
         parse_int(bad)
-
-
-def test_imquad_dict_roundtrip():
-    e = ImQuadElement(Fraction(1, 3), Fraction(-2), 5)
-    assert ImQuadElement.from_dict(e.to_dict()) == e
 
 
 # ---------------------------------------------------------------------------

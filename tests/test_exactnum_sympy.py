@@ -1,18 +1,25 @@
-"""Polynomial gcd and Yun over Q(sqrt(-k)) against sympy's algebraic fields."""
+"""Polynomial gcd and Yun over Q(sqrt(-k)) against sympy's algebraic fields,
+and squarefree parts of integers against sympy's factorint."""
 
 import functools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ratdist.exactnum import (
+    DEFAULT_PRIME_BOUND,
     ImQuadElement,
     ImQuadPoly,
+    UnfactoredResidueError,
     _good_prime,
     _is_prime,
+    is_squarefree,
     poly_gcd,
     squarefree_decomposition,
+    squarefree_part,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -100,3 +107,45 @@ def test_good_prime_matches_sympy(k):
     p, w = _good_prime(k)
     assert p == q
     assert w in {int(r) for r in sympy.sqrt_mod(-k % q, q, all_roots=True)}
+
+
+def _large_prime(rng: random.Random) -> int:
+    # a prime above the trial-division bound; two of them stay below (bound + 1)^3
+    return int(sympy.nextprime(rng.randrange(DEFAULT_PRIME_BOUND, 10**7)))
+
+
+# n from a small cofactor c and primes p, q, r above the trial-division bound
+DECIDED = {
+    "p*q": lambda c, p, q, r: p * q,
+    "p^2": lambda c, p, q, r: p * p,
+    "c*p*q": lambda c, p, q, r: c * p * q,
+    "c^2*p": lambda c, p, q, r: c * c * p,
+    "c*p^2": lambda c, p, q, r: c * p * p,
+}
+UNDECIDED = {
+    "p*q*r": lambda c, p, q, r: p * q * r,
+    "p^2*q": lambda c, p, q, r: p * p * q,
+}
+
+
+def _seeded(shapes: dict, shape: str):
+    rng = random.Random(shape)
+    for _ in range(25):
+        yield shapes[shape](rng.randrange(2, 10**4), *(_large_prime(rng) for _ in range(3)))
+
+
+@pytest.mark.parametrize("shape", sorted(DECIDED))
+def test_squarefree_part_matches_factorint_above_the_trial_bound(shape):
+    for n in _seeded(DECIDED, shape):
+        factors = sympy.factorint(n)
+        s = math.prod(prime for prime, e in factors.items() if e % 2)
+        assert squarefree_part(n) == (s, Fraction(math.isqrt(n // s)))
+        assert is_squarefree(n) == all(e == 1 for e in factors.values())
+
+
+@pytest.mark.parametrize("shape", sorted(UNDECIDED))
+def test_squarefree_part_refuses_three_prime_factors_above_the_trial_bound(shape):
+    # at least (bound + 1)^3 and no square: a prime, or two or three primes
+    for n in _seeded(UNDECIDED, shape):
+        with pytest.raises(UnfactoredResidueError):
+            squarefree_part(n)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -143,9 +144,65 @@ def test_generate_circle_rds_verifies_and_is_concyclic():
             assert not report.strong_ok
 
 
-def test_generate_circle_rds_bound_hint():
-    with pytest.raises(SearchgenError, match="parameter_bound"):
-        generate_circle_rds(50, parameter_bound=5)
+def oracle_circle_rds(n: int, parameter_bound: int) -> Configuration:
+    """The circle generator with a bound on the Euclid parameter m: the
+    scan stops after n points or after every pair (m, n) with m up to the
+    bound, and too few triples are refused."""
+    if n < 1:
+        raise SearchgenError("need at least one point")
+    if n > MAX_N:
+        raise SearchgenError(f"n={n} exceeds the supported maximum MAX_N={MAX_N}")
+    triples = (
+        (m * m - q * q, 2 * m * q, m * m + q * q)
+        for m in range(2, parameter_bound + 1)
+        for q in range(1, m)
+        if (m - q) % 2 == 1 and math.gcd(m, q) == 1
+    )
+    points: list[LatticePoint] = [LatticePoint(F(1), F(0))]
+    for a, b, c in triples:
+        if len(points) == n:
+            break
+        cos_t, sin_t = F(a, c), F(b, c)
+        points.append(LatticePoint(1 - 2 * sin_t * sin_t, 2 * sin_t * cos_t))
+    if len(points) < n:
+        raise SearchgenError(
+            f"not enough primitive triples with parameter <= {parameter_bound} for {n} points"
+        )
+    return Configuration(1, tuple(points[:n]), provenance="circle-rds")
+
+
+def _circle_capacity(parameter_bound: int) -> int:
+    # the largest n the bounded oracle accepts: the anchor plus every triple
+    return 1 + sum(
+        1 for m in range(2, parameter_bound + 1) for q in range(1, m) if (m - q) % 2 == 1 and math.gcd(m, q) == 1
+    )
+
+
+@pytest.mark.parametrize("bound", [5, 10])
+def test_generate_circle_rds_matches_the_bounded_oracle_at_every_n(bound):
+    top = _circle_capacity(bound)
+    for n in range(1, top + 1):
+        assert generate_circle_rds(n) == oracle_circle_rds(n, bound)
+    with pytest.raises(SearchgenError, match="not enough primitive triples"):
+        oracle_circle_rds(top + 1, bound)
+
+
+def test_generate_circle_rds_matches_the_bounded_oracle_at_its_default_bound():
+    # the oracle's old default refused n above 8157; each generated set is
+    # a prefix of the largest, so the sampled n and both ends cover the rest
+    top = _circle_capacity(200)
+    assert top == 8157
+    largest = generate_circle_rds(top)
+    assert largest == oracle_circle_rds(top, 200)
+    rng = random.Random(25)
+    for n in [1, 2, 3, top - 1, *rng.sample(range(4, top - 1), 20)]:
+        assert generate_circle_rds(n).points == largest.points[:n]
+    with pytest.raises(SearchgenError, match="not enough primitive triples"):
+        oracle_circle_rds(top + 1, 200)
+
+
+def test_generate_circle_rds_at_the_maximum_matches_the_oracle():
+    assert generate_circle_rds(MAX_N) == oracle_circle_rds(MAX_N, 300)
 
 
 def test_generators_refuse_n_above_the_maximum_before_reading_offsets():
@@ -157,18 +214,18 @@ def test_generators_refuse_n_above_the_maximum_before_reading_offsets():
         with pytest.raises(SearchgenError, match="MAX_N"):
             generate_line_rds(n, unread())
         with pytest.raises(SearchgenError, match="MAX_N"):
-            generate_circle_rds(n, parameter_bound=5)
+            generate_circle_rds(n)
 
 
 def test_generators_accept_n_up_to_the_maximum():
     assert generate_line_rds(MAX_N, range(MAX_N)).n == MAX_N
-    assert generate_circle_rds(MAX_N, parameter_bound=300).n == MAX_N
+    assert generate_circle_rds(MAX_N).n == MAX_N
 
 
 def test_generate_circle_rds_stops_after_n_points():
-    # a huge bound costs nothing once n points are found
+    # the scan has no bound of its own: it stops once n points are found
     start = time.perf_counter()
-    assert generate_circle_rds(8, parameter_bound=10**18) == generate_circle_rds(8)
+    assert generate_circle_rds(8) == oracle_circle_rds(8, 10**18)
     assert time.perf_counter() - start < 1
 
 

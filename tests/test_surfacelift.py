@@ -1,6 +1,8 @@
 """Tests for the quadric system, lifting, census, and the certificate."""
 
+import hashlib
 import itertools
+import json
 import random
 import sys
 import time
@@ -10,7 +12,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratdist.exactnum import ImQuadElement, omega, rational_sqrt
+from ratdist.exactnum import ImQuadElement, omega, parse_rational, rational_sqrt
 from ratdist.planeset import Configuration, LatticePoint, squared_distance
 from ratdist.surfacelift import (
     MAX_M,
@@ -101,8 +103,12 @@ def test_verify_on_surface_roundtrip_perturb_scale():
 
 
 def test_verify_on_surface_checks_length():
-    with pytest.raises(SurfaceliftError):
+    with pytest.raises(SurfaceliftError, match="expected 7 homogeneous coordinates, got 3"):
         verify_on_surface(LiftedPoint((F(1), F(0), F(1))), RECT_SYS)
+    # the zero vector is no point of projective space (the Fraction loop
+    # called it on V)
+    with pytest.raises(SurfaceliftError, match="cannot all vanish"):
+        verify_on_surface(LiftedPoint((F(0),) * 7), RECT_SYS)
 
 
 def test_project_roundtrip():
@@ -173,6 +179,43 @@ def test_lift_point_matches_the_fraction_oracle(drawn):
                 if isinstance(got, LiftedPoint):
                     assert got.to_list() == oracle_lift_point(q, system).to_list()
             assert isinstance(_lift_outcome(lift_point, p, system), LiftedPoint)
+
+
+def oracle_verify_on_surface(point: LiftedPoint, system: QuadricSystem) -> bool:
+    """One Fraction quadric relation r_j^2 = dx^2 + k*dy^2 per base point."""
+    if len(point.coords) != 3 + system.m:
+        raise SurfaceliftError(
+            f"expected {3 + system.m} homogeneous coordinates, got {len(point.coords)}"
+        )
+    x, y, z = point.coords[:3]
+    for j, base in enumerate(system.base):
+        r = point.coords[3 + j]
+        dx = x - base.x * z
+        dy = y - base.yc * z
+        if r * r != dx * dx + system.k * dy * dy:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(equidistant_points(), COORD.filter(bool), st.integers(0, 7), COORD.filter(bool))
+def test_verify_on_surface_matches_the_fraction_oracle(drawn, scale, which, delta):
+    # lifted points, scaled by a rational, with one coordinate perturbed,
+    # and each extra point given the lifted distances; base points carry
+    # denominators, k ranges over 1, 2, 3 and 7
+    k, p, base, extra = drawn
+    for m in range(1, len(base) + 1):
+        system = QuadricSystem(m, k, tuple(base[:m]))
+        lifted = lift_point(p, system)
+        coords = list(lifted.coords)
+        coords[which % len(coords)] += delta
+        points = [lifted, LiftedPoint(tuple(scale * c for c in lifted.coords))]
+        if any(coords):  # the zero vector: test_verify_on_surface_checks_length
+            points.append(LiftedPoint(tuple(coords)))
+        points += [LiftedPoint((q.x, q.yc, F(1), *lifted.coords[3:])) for q in extra]
+        for point in points:
+            assert verify_on_surface(point, system) == oracle_verify_on_surface(point, system)
+        assert verify_on_surface(points[0], system) and verify_on_surface(points[1], system)
 
 
 @settings(max_examples=50, deadline=None)
@@ -305,6 +348,30 @@ def test_check_general_type_monotone():
     for extra_e in (1, 5, 100):
         extended = worse + [SingularityRecord(("finite", 1, 0), extra_e, F(-1), False)]
         assert not check_general_type(2, 8, extended, True).verdict
+
+
+@pytest.mark.parametrize("m", [5.5, 5.0, "5", True, False, F(5)])
+def test_m_must_be_an_int(m):
+    # no coercion: 5.5 would otherwise be certified as m = 5
+    for fn in (certify_V, singularity_census, surface_invariants):
+        with pytest.raises(SurfaceliftError, match="m must be an int"):
+            fn(m)
+    with pytest.raises(SurfaceliftError, match="m must be an int"):
+        certify_V(m, sys=RECT_SYS)
+
+
+def test_int_m_gives_the_results_of_the_coercing_code():
+    # digest of the certificates, invariants and census classes for these m,
+    # recorded from the implementation that coerced m with int()
+    blob = []
+    for m in [*range(1, 65), 100, 1000, 4096]:
+        blob.append(certify_V(m).to_dict())
+        blob.append(list(surface_invariants(m)))
+        if m >= 3:
+            census = singularity_census(m)
+            blob.append([census.size, census.classes(), [r.to_dict() for r in census.noncanonical()]])
+    digest = hashlib.sha256(json.dumps(blob).encode()).hexdigest()
+    assert digest == "5885a65923e9f640f1ccf440756f301d8877677bbc37f052c72d87be944a094c"
 
 
 def test_certify_m4():
@@ -653,5 +720,6 @@ def test_system_json_roundtrip():
 
 
 def test_lifted_point_json_roundtrip():
-    lifted = lift_point(pt(0, 0), RECT_SYS)
-    assert LiftedPoint.from_list(lifted.to_list()) == lifted
+    # the wire form of a lift decodes to the same coordinates
+    lifted = lift_point(pt(F(1, 3), 0), build_surface(Configuration(1, tuple(pt(i) for i in range(4))), [0, 1, 2, 3]))
+    assert LiftedPoint(tuple(parse_rational(t) for t in lifted.to_list())) == lifted

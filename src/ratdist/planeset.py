@@ -324,6 +324,11 @@ def embed_from_distances(m: DistanceMatrix, provenance: str = "embed_from_distan
     return Configuration(k, pts, provenance)
 
 
+# the images of the first two points under every normalization
+_ORIGIN = LatticePoint(Fraction(0), Fraction(0))
+_UNIT = LatticePoint(Fraction(1), Fraction(0))
+
+
 def _normal_form(k: int, pts: list[tuple[int, int]], provenance: str) -> Configuration:
     """Image of integer lattice points under z -> (z - p0)/(p1 - p0), z = X + Y*sqrt(-k).
 
@@ -336,9 +341,9 @@ def _normal_form(k: int, pts: list[tuple[int, int]], provenance: str) -> Configu
     (ax, ay), (bx, by) = pts[0], pts[1]
     ux, uy = bx - ax, by - ay
     den = ux * ux + k * uy * uy  # |p1 - p0|^2; the image is (z - p0)*conj(p1 - p0)/den
-    image = [((x - ax) * ux + k * (y - ay) * uy, (y - ay) * ux - (x - ax) * uy) for x, y in pts]
+    image = [((x - ax) * ux + k * (y - ay) * uy, (y - ay) * ux - (x - ax) * uy) for x, y in pts[2:]]
     sign = next((1 if y > 0 else -1 for _, y in image if y), 0)
-    points = tuple(LatticePoint(Fraction(x, den), Fraction(sign * y, den)) for x, y in image)
+    points = (_ORIGIN, _UNIT, *(LatticePoint(Fraction(x, den), Fraction(sign * y, den)) for x, y in image))
     return Configuration(k if sign else 1, points, provenance)
 
 

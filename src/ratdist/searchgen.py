@@ -18,10 +18,12 @@ sets are filtered by the requested general-position predicate (for strong,
 the four-concyclic check is the part the pruning has not already done) and
 mapped to a canonical representative of their similarity class (first two
 points at (0,0) and (1,0), lexicographically minimal point order, reflection
-resolved by the sign rule of ``normalize``).  The representative is
-``normalize``'s integer image of the winning order, so one ``isqrt`` per
-pair re-checks that the set is an RDS.  The canonical form determines the
-class, so finds are deduplicated on it directly.
+resolved by the sign rule of ``normalize``).  Only the anchor pairs that
+give the least first x are sorted; a pair that ties there is compared in
+full.  The representative is ``normalize``'s integer image of the winning
+order, so one ``isqrt`` per pair re-checks that the set is an RDS.  The
+canonical form determines the class, so finds are deduplicated on the
+numerators and denominators of its coordinates.
 
 Work is partitioned by the lowest grid index of a clique (its first-point
 cell), which is also the checkpoint granularity: checkpoints record
@@ -164,7 +166,7 @@ class SearchCheckpoint:
 def _check_found(spec: SearchSpec, c: Configuration, index: int) -> None:
     # A decoded class must be one this spec's search can return.  Collinear
     # classes come back with k = 1 whatever the spec's k.  The canonical form
-    # is not recomputed here.
+    # is recomputed by the integer core: canonical_form runs once per raw hit.
     if c.n != spec.target_size:
         raise SearchgenError(f"found class {index} has {c.n} points, target size is {spec.target_size}")
     if c.k != spec.k and not (c.k == 1 and all(p.yc == 0 for p in c.points)):
@@ -173,6 +175,8 @@ def _check_found(spec: SearchSpec, c: Configuration, index: int) -> None:
         raise SearchgenError(f"found class {index} is not a rational distance set")
     if not _satisfies(c, spec.require):
         raise SearchgenError(f"found class {index} fails the requirement {spec.require.value}")
+    if _canonical_form(c.k, integer_lattice(c.points)[1]) != c:
+        raise SearchgenError(f"found class {index} is not in canonical form")
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +289,45 @@ def canonical_form(c: Configuration) -> Configuration:
     to (0,0) and (1,0); it is computed in integer coordinates, so for each
     ordered anchor pair and each reflection the best order of the remaining
     points is their sorted order, adjusted for the sign rule of
-    ``normalize``, in O(n^3 log n) steps overall.  The result is
-    ``normalize`` of the winning order, so every pair is re-checked with one
-    ``isqrt``, raising ``NotRdsMatrixError`` unless the input is an RDS.
+    ``normalize``, in O(n^3 log n) steps overall.  In one of its two
+    reflections, the best order of a pair starts with a point of least x,
+    and no order starts lower; so only the pairs whose least x is the least
+    of all pairs are sorted.  Those that tie there are compared in full, as
+    the later points decide between them.  The result is ``normalize`` of
+    the winning order, so every pair is re-checked with one ``isqrt``,
+    raising ``NotRdsMatrixError`` unless the input is an RDS.
     """
     if c.n < 2:
         raise SearchgenError("canonical form needs at least two points")
-    k = c.k
-    _, pts = integer_lattice(c.points)
-    best_perm: tuple[int, ...] = ()
-    best: list[tuple[int, int, int]] | None = None
-    best_den = 1
+    return _canonical_form(c.k, integer_lattice(c.points)[1])
+
+
+def _canonical_form(k: int, pts: list[tuple[int, int]]) -> Configuration:
+    # canonical_form of at least two integer lattice points
+    # (den, a, b, rest) of every ordered anchor pair with the least x so far
+    ties: list[tuple[int, int, int, list[tuple[int, int, int]]]] = []
     for a, (ax, ay) in enumerate(pts):
-        for b, (bx, by) in enumerate(pts):
+        diffs = [(x - ax, y - ay) for x, y in pts]
+        for b, (ux, uy) in enumerate(diffs):
             if b == a:
                 continue
             # z -> (z - a) / (b - a) with z = X + Y*sqrt(-k), over den = |b - a|^2
-            ux, uy = bx - ax, by - ay
-            den = ux * ux + k * uy * uy
-            rest = []
-            for i, (x, y) in enumerate(pts):
-                if i != a and i != b:
-                    dx, dy = x - ax, y - ay
-                    rest.append((dx * ux + k * dy * uy, dy * ux - dx * uy, i))
-            for mirrored in (rest, [(x, -y, i) for x, y, i in rest]):
-                cand = _admissible_order(sorted(mirrored))
-                if cand is not None and (best is None or _precedes(cand, den, best, best_den)):
-                    best, best_den = cand, den
-                    best_perm = (a, b, *(i for _, _, i in cand))
+            kuy = k * uy
+            den = ux * ux + kuy * uy
+            rest = [(dx * ux + dy * kuy, dy * ux - dx * uy, i)
+                    for i, (dx, dy) in enumerate(diffs) if i != a and i != b]
+            least = min(rest)[0] if rest else 0
+            if not ties or least * tie_den < tie_least * den:
+                ties, tie_least, tie_den = [], least, den
+            if least * tie_den == tie_least * den:
+                ties.append((den, a, b, rest))
+    best_perm: tuple[int, ...] = ()
+    for den, a, b, rest in ties:
+        for mirrored in (rest, [(x, -y, i) for x, y, i in rest]):
+            cand = _admissible_order(sorted(mirrored))
+            if cand is not None and (not best_perm or _precedes(cand, den, best, best_den)):
+                best, best_den = cand, den
+                best_perm = (a, b, *(i for _, _, i in cand))
     return _normal_form(k, [pts[i] for i in best_perm], "canonical")
 
 
@@ -506,10 +521,13 @@ def search(
     pending = [c for c in range(len(grid)) if c not in exhausted]
     todo = pending if max_cells is None else pending[:max_cells]
 
+    # keyed on integers, as hashing a Fraction takes a modular inverse; the
+    # few classes are put in _config_sort_key order once, at the end
     found: dict[tuple, Configuration] = {}
 
     def absorb(cfg: Configuration) -> None:
-        found.setdefault(_config_sort_key(cfg), cfg)
+        key = [(p.x.numerator, p.x.denominator, p.yc.numerator, p.yc.denominator) for p in cfg.points]
+        found.setdefault((cfg.k, *key), cfg)
 
     if checkpoint:
         for cfg in checkpoint.found:
@@ -525,6 +543,6 @@ def search(
 
     return SearchCheckpoint(
         spec=spec,
-        found=tuple(found[key] for key in sorted(found)),
+        found=tuple(sorted(found.values(), key=_config_sort_key)),
         exhausted_ranges=_merge_ranges(exhausted | set(todo)),
     )

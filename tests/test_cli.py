@@ -17,7 +17,7 @@ from ratdist import cli
 from ratdist.cli import build_parser, main, run
 from ratdist.surfacelift import MAX_M
 from ratdist.planeset import Configuration, LatticePoint
-from ratdist.searchgen import SearchCheckpoint
+from ratdist.searchgen import SearchCheckpoint, canonical_form
 
 F = Fraction
 
@@ -538,6 +538,24 @@ def test_search_resume_rejects_found_classes_the_spec_cannot_return(tmp_path, k,
     result, code = run(["search", "--resume", str(resume_file)])
     _single_error(result, code)
     assert message in result["diagnostics"][0]["message"]
+
+
+def test_search_resume_refuses_a_class_not_in_canonical_form(tmp_path):
+    # the 3-4-5 triangle as given, not as the search lists it: resumed, the
+    # k=1 (4,1,3) search would list 15 classes where a fresh run lists 14
+    spec = {"k": 1, "numerator_bound": 4, "denominator_bound": 1, "target_size": 3}
+    triangle = Configuration.from_dict(json.loads(TRIANGLE))
+    resume_file = tmp_path / "cp.json"
+    resume_file.write_text(json.dumps({"spec": spec, "found": [triangle.to_dict()], "exhausted_ranges": []}))
+    code, result, proc = invoke(["search", "--resume", str(resume_file)])
+    _single_error(result, code)
+    assert "found class 0 is not in canonical form" in result["diagnostics"][0]["message"]
+    assert proc.stderr == ""
+    canonical = canonical_form(triangle).to_dict()
+    resume_file.write_text(json.dumps({"spec": spec, "found": [canonical], "exhausted_ranges": []}))
+    code, result, _ = invoke(["search", "--resume", str(resume_file)])
+    assert code == 0 and len(result["payload"]["found"]) == 14
+    assert canonical in result["payload"]["found"]
 
 
 NOT_RDS = {

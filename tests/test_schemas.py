@@ -15,7 +15,7 @@ from referencing import Registry, Resource
 from ratdist.cli import run
 from ratdist.curvelift import PlaneCurve
 from ratdist.planeset import Configuration
-from ratdist.searchgen import SearchCheckpoint, SearchSpec, generate_circle_rds
+from ratdist.searchgen import SearchCheckpoint, SearchSpec, canonical_form, generate_circle_rds
 from ratdist.surfacelift import MAX_M
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -238,7 +238,8 @@ def test_decoders_raise_only_usage_errors(data):
 # second; search runs in one process whatever --workers says.
 NOT_INT = JSON_VALUES.filter(lambda v: type(v) is not int)
 BAD_RANGES = [[[0, 10**7]], [[0, 10**12]], [[-5, 3]], [[100, 200]], [[7, 2]], [[3, 3]]]
-FOUND_CLASS = generate_circle_rds(3).to_dict()
+# a class in canonical form, which a k = 1 checkpoint of target size 3 accepts
+FOUND_CLASS = canonical_form(generate_circle_rds(3)).to_dict()
 
 
 @st.composite

@@ -372,7 +372,7 @@ CIRCLE = generate_circle_rds(8)
 @st.composite
 def small_rds(draw):
     family = draw(st.sampled_from(["circle", "inverted", "line"]))
-    n = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=7))
     if family == "line":
         offsets = draw(
             st.lists(
@@ -389,19 +389,91 @@ def small_rds(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(small_rds())
+@given(small_rds().filter(lambda c: c.n <= 6))
 def test_canonical_form_matches_oracle_on_fixtures(c):
     assert canonical_form(c) == brute_canonical_form(c)
 
 
-# non-collinear classes that the k=2 and k=7 (4,1,3) searches find
+# non-collinear classes that the k=2, k=3 and k=7 (4,1,3) searches find
 K_LATTICE_RDS = tuple(
     Configuration(k, (LatticePoint(F(0), F(0)), LatticePoint(F(1), F(0)), LatticePoint(x, yc)))
     for k, x, yc in (
         (2, F(-3, 4), F(3, 2)), (2, F(-2, 5), F(4, 5)), (2, F(2, 9), F(4, 9)),
         (7, F(-1, 8), F(3, 8)), (7, F(1, 32), F(3, 32)), (7, F(18, 121), F(24, 121)),
+        (3, F(-5, 6), F(5, 6)), (3, F(2, 49), F(8, 49)), (3, F(1, 2), F(1, 2)),
     )
 )
+
+
+def _points(*xy) -> tuple[LatticePoint, ...]:
+    return tuple(LatticePoint(F(x), F(y)) for x, y in xy)
+
+
+_ARC = CIRCLE.points[1:4]
+
+# RDS with a reflection or rotation symmetry, so that several ordered anchor
+# pairs give the least first x and must be told apart by the later points.
+# No square is an RDS: its diagonal is its side times sqrt(2).
+TIED_RDS = (
+    Configuration(1, _points((-3, 0), (3, 0), (0, 4))),  # isosceles, sides 5, 5, 6
+    Configuration(1, _points((-3, 0), (3, 0), (0, 4), (0, -4))),  # rhombus, side 5
+    Configuration(1, _points((-3, 0), (3, 0), (0, 4), (0, -4), (0, 0))),  # and its centre
+    Configuration(1, _points((0, 0), (6, 0), (0, 8), (6, 8))),  # rectangle, diagonal 10
+    Configuration(1, _points((0, 0), (6, 0), (0, 8), (6, 8), (3, 4))),  # and its centre
+    Configuration(1, _points((-2, 0), (-1, 0), (1, 0), (2, 0))),
+    # unit-circle points and their mirror images: every chord is 2|Im(w w')|
+    Configuration(1, CIRCLE.points[:1] + _ARC + tuple(LatticePoint(p.x, -p.yc) for p in _ARC)),
+    Configuration(2, _points((-1, 0), (1, 0), (0, 2))),  # isosceles, sides 3, 3, 2
+    Configuration(2, _points((F(-9, 4), 0), (F(9, 4), 0), (F(-5, 4), 2), (F(5, 4), 2))),  # trapezoid
+    Configuration(3, _points((-1, 0), (1, 0), (0, 1))),  # equilateral, side 2
+    Configuration(7, _points((-3, 0), (3, 0), (0, 1))),  # isosceles, sides 4, 4, 6
+)
+
+
+def _tied_anchor_pairs(c: Configuration) -> int:
+    """Ordered anchor pairs (a, b) whose least x, over |b - a|^2, is the least of all."""
+    k = c.k
+    _, pts = integer_lattice(c.points)
+    least = []
+    for (ax, ay), (bx, by), *rest in itertools.permutations(pts):
+        ux, uy = bx - ax, by - ay
+        least.append(min(F((x - ax) * ux + k * (y - ay) * uy, ux * ux + k * uy * uy) for x, y in rest))
+    return least.count(min(least)) // math.factorial(len(pts) - 2)
+
+
+@pytest.mark.parametrize("c", TIED_RDS, ids=lambda c: f"k{c.k}-n{c.n}")
+def test_canonical_form_compares_every_tied_anchor_pair(c):
+    assert verify_rds(c).is_rds
+    assert _tied_anchor_pairs(c) >= 2
+    canon = canonical_form(c)
+    assert canon == oracle_canonical_form(c)
+    if c.n <= 5:
+        assert canon == brute_canonical_form(c)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_canonical_form_of_a_square_ties_eight_pairs_and_raises(k):
+    square = Configuration(k, _points((0, 0), (1, 0), (1, 1), (0, 1)))
+    assert _tied_anchor_pairs(square) == 8
+    with pytest.raises(NotRdsMatrixError):
+        oracle_canonical_form(square)
+    with pytest.raises(NotRdsMatrixError):
+        canonical_form(square)
+
+
+# a step of rational length dx^2 + k*dy^2 per k: 5^2, 3^2, 2^2 and 4^2
+STEPS = {1: (3, 4), 2: (1, 2), 3: (1, 1), 7: (3, 1)}
+
+
+@st.composite
+def collinear_k_rds(draw):
+    """Collinear points of a k-lattice at rational offsets along a rational step."""
+    k = draw(st.sampled_from(sorted(STEPS)))
+    offsets = draw(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5), min_size=2, max_size=7, unique=True)
+    )
+    dx, dy = STEPS[k]
+    return Configuration(k, tuple(LatticePoint(F(1, 2) + t * dx, F(1, 3) + t * dy) for t in offsets))
 
 
 @st.composite
@@ -413,7 +485,7 @@ def similar_copy(draw):
     distance rational; then come a rational scale, a translation, an
     optional reflection in the x-axis and a shuffle of the points.
     """
-    c = draw(st.one_of(small_rds(), st.sampled_from(K_LATTICE_RDS)))
+    c = draw(st.one_of(small_rds(), collinear_k_rds(), st.sampled_from(K_LATTICE_RDS + TIED_RDS)))
     k = c.k
     m = draw(st.integers(min_value=0, max_value=6))
     n = draw(st.integers(min_value=0 if m else 1, max_value=6))
@@ -431,7 +503,7 @@ def similar_copy(draw):
     return c, Configuration(k, draw(st.permutations(moved)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(similar_copy())
 def test_canonical_form_of_a_similar_copy_is_unchanged(pair):
     c, copy = pair
@@ -439,6 +511,9 @@ def test_canonical_form_of_a_similar_copy_is_unchanged(pair):
     canon = canonical_form(copy)
     assert canon == canonical_form(c)
     assert canon == oracle_canonical_form(copy)
+    if copy.n <= 5:
+        assert canon == brute_canonical_form(copy)
+    assert (canon.k == 1) if audit_general_position(copy).max_collinear == copy.n else (canon.k == copy.k)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +666,38 @@ RIGHT_345 = Configuration(1, (LatticePoint(F(0), F(0)), LatticePoint(F(3), F(0))
             generate_line_rds(3, [0, 1, 2]),
             "fails the requirement",
         ),
+        # a class the search would list a second time, under its canonical form
+        (SearchSpec(k=1, numerator_bound=4, denominator_bound=1, target_size=3), RIGHT_345, "not in canonical form"),
+        (
+            SearchSpec(k=1, numerator_bound=4, denominator_bound=1, target_size=3),
+            Configuration(1, canonical_form(RIGHT_345).points, "resumed"),
+            "not in canonical form",
+        ),
+        # collinear: the canonical form has k = 1
+        (
+            SearchSpec(k=2, numerator_bound=4, denominator_bound=1, target_size=3),
+            Configuration(2, canonical_form(generate_line_rds(3, [0, 1, 2])).points, "canonical"),
+            "not in canonical form",
+        ),
     ],
 )
 def test_checkpoint_rejects_found_classes_the_spec_cannot_return(spec, found, message):
     blob = SearchCheckpoint(spec, (found,), ()).to_dict()
     with pytest.raises(SearchgenError, match=message):
         SearchCheckpoint.from_dict(blob)
+
+
+def test_checkpoint_checks_canonical_forms_without_calling_canonical_form(monkeypatch):
+    # canonical_form runs once per raw hit of a search; a resumed class is not one
+    done = search(DESK)
+    blob = json.loads(json.dumps(done.to_dict()))
+
+    def refuse(c: Configuration) -> Configuration:
+        raise AssertionError("canonical_form was called for a resumed class")
+
+    monkeypatch.setattr(searchgen, "canonical_form", refuse)
+    assert SearchCheckpoint.from_dict(blob) == done
+    assert search(checkpoint=SearchCheckpoint.from_dict(blob)) == done
 
 
 NINE_CELLS = SearchSpec(k=1, numerator_bound=1, denominator_bound=1, target_size=3)
@@ -823,10 +924,13 @@ def test_strong_search_keeps_the_leaf_check_for_concyclic_points():
     assert rectangle not in search(SearchSpec(1, 2, 1, 4, Requirement.STRONG)).found
 
 
-def _cut_transcript(spec: SearchSpec) -> str:
-    """Digest of every cut's checkpoint, its resumed result and their progress events."""
+def _cut_transcript(spec: SearchSpec, cuts=None) -> str:
+    """Digest of each cut's checkpoint, its resumed result and their progress events.
+
+    Every cut from 0 to the cell count when ``cuts`` is None.
+    """
     h = hashlib.sha256()
-    for cut in range(len(grid_points(spec)) + 1):
+    for cut in range(len(grid_points(spec)) + 1) if cuts is None else cuts:
         events = []
         part = search(spec, max_cells=cut, progress=events.append)
         blob = json.dumps(part.to_dict(), sort_keys=True)
@@ -847,6 +951,26 @@ def _cut_transcript(spec: SearchSpec) -> str:
 )
 def test_strong_search_cuts_and_resumes_are_unchanged(spec, digest):
     assert _cut_transcript(spec) == digest
+
+
+def _integer_key(c: Configuration) -> tuple:
+    return (c.k, tuple((p.x.numerator, p.x.denominator, p.yc.numerator, p.yc.denominator) for p in c.points))
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    # recorded from the search that deduplicated classes on their Fraction
+    # coordinates; the classes of these specs, with negative x and
+    # denominators 2 and 3, sort differently by value than by their integers
+    [
+        (SearchSpec(1, 1, 3, 3), "b7e7d9e6b2648a5286d7f7c4a3bf41e3169793becd8e7e8b95db77a3be3ae5fe"),
+        (SearchSpec(2, 1, 3, 3), "ace68b0b10ef3a6be3ec3f8512e49a31b8d6b29ecb31d2791a385a67780d33ba"),
+    ],
+)
+def test_search_found_order_on_full_split_and_resumed_runs_is_unchanged(spec, digest):
+    found = search(spec).found
+    assert list(found) != sorted(found, key=_integer_key)
+    assert _cut_transcript(spec, (0, 1, 17, 48, 49)) == digest
 
 
 @pytest.mark.parametrize("numerator_bound", [4, 6])
